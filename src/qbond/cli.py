@@ -241,7 +241,7 @@ def run_simulate(payload: dict, args) -> list[str]:
     target = ser.matrix_from_json(payload["target"], what="target") if "target" in payload else None
     rho0 = ser.matrix_from_json(payload["rho0"], what="rho0") if "rho0" in payload else None
     dipoles = _dipoles_from_payload(payload.get("dipoles"))
-    steps = int(payload.get("steps_per_segment", prop_mod.STEPS_PER_SEGMENT))
+    steps = payload.get("steps_per_segment", prop_mod.STEPS_PER_SEGMENT)
     result = prop_mod.simulate_schedule(
         sched, dipoles=dipoles, target=target, rho0=rho0, steps_per_segment=steps
     )

@@ -1,22 +1,33 @@
 """Time-ordered propagation and passivity verification.
 
-Propagation multiplies per-step exponentials exp(-i H(t_mid) dt), each
-computed from the spectral decomposition of the Hermitian midpoint
-generator, so every step is exactly unitary regardless of step size. For
-pulse schedules the grid is aligned to envelope breakpoints; because each
-pulse generator points in a fixed operator direction, the midpoint rule
-integrates piecewise-linear envelopes exactly and the only residual error
-is roundoff. Adaptive refinement doubles the resolution until the final
-unitary stops moving.
+Schedule playback (simulate_schedule) uses the structure of a pulse train.
+Every pulse drives one fixed level pair (k, k+1) with one fixed carrier
+phase, so its generators commute at all times and the propagator of one
+linear envelope segment is the closed-form pulse block with area
+D * integral (a - baseline) dt. Playback applies one such block rotation to
+two rows of the accumulated propagator per segment: O(d) work per segment,
+O(d^2) memory in total, exact up to roundoff, with no step size to refine.
+steps_per_segment only sets the grid the state trajectory is sampled on.
+
+evolve_unitary and evolve_density are the generic route for arbitrary,
+possibly non-commuting Hamiltonian callables. They multiply per-step
+exponentials exp(-i H(t_mid) dt), each computed from the spectral
+decomposition of the Hermitian midpoint generator, so every step is exactly
+unitary regardless of step size. rwa_interaction and schedule_hamiltonian
+express a schedule as such callables.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .operators import (
     HERMITIAN_ATOL,
     as_square_matrix,
@@ -26,8 +37,6 @@ from .operators import (
 from .pulse_synthesis import PulseSchedule, ScheduledPulse, _lookup
 
 STEPS_PER_SEGMENT = 200
-REFINE_ATOL = 1e-9
-MAX_REFINEMENTS = 4
 COMMUTATOR_ATOL = 1e-8
 POPULATION_ATOL = 1e-10
 DEGENERACY_ATOL = 1e-10
@@ -194,41 +203,86 @@ def rwa_interaction(pulse, shape, dipole: float, dimension: int):
     return h_of_t
 
 
-def _schedule_stacks(sched: PulseSchedule, dipoles, steps_per_segment: int):
-    """Midpoint generator stack, step widths and knot times for a whole schedule."""
-    d = sched.dimension
-    offsets = []
-    t0 = 0.0
-    for sp in sched.pulses:
-        if sp.shape is None:
-            raise ValidationError("schedule contains unshaped pulses; run shaping first")
-        offsets.append(t0)
-        t0 += sp.shape.duration
+class _Segment(NamedTuple):
+    """One linear envelope piece on the schedule clock.
 
-    h_blocks = []
-    dt_blocks = []
-    knots = [0.0]
-    for sp, off in zip(sched.pulses, offsets):
+    k is the lower level of the driven pair (k, k+1), 1-based; a_lo and
+    a_hi are the envelope above its baseline at t_lo and t_hi.
+    """
+
+    t_lo: float
+    t_hi: float
+    k: int
+    dipole: float
+    phase: float
+    a_lo: float
+    a_hi: float
+
+    def amplitude(self, t: float) -> float:
+        return self.a_lo + (self.a_hi - self.a_lo) * (t - self.t_lo) / (self.t_hi - self.t_lo)
+
+    def area(self, t: float) -> float:
+        """Rotation angle D * integral of the envelope from t_lo to min(t, t_hi)."""
+        if t >= self.t_hi:
+            return self.dipole * 0.5 * (self.a_lo + self.a_hi) * (self.t_hi - self.t_lo)
+        x = t - self.t_lo
+        slope = (self.a_hi - self.a_lo) / (self.t_hi - self.t_lo)
+        return self.dipole * x * (self.a_lo + 0.5 * slope * x)
+
+
+def _segments(sched: PulseSchedule, dipoles):
+    """Envelope segments of positive width, pulses back to back from t = 0.
+
+    Amplitudes are read from the breakpoints of each shape, never from its
+    stored realized_area.
+    """
+    d = sched.dimension
+    offset = 0.0
+    for sp in sched.pulses:
         shape = sp.shape
+        if shape is None:
+            raise ValidationError("schedule contains unshaped pulses; run shaping first")
+        if sp.pulse.transition[1] > d:
+            raise ValidationError(f"transition {sp.pulse.transition} exceeds dimension {d}")
         k = sp.pulse.transition[0]
         d_k = _resolve_dipole(sp, dipoles)
-        local = np.unique(np.array([b[0] for b in shape.breakpoints]))
-        for a, b in zip(local[:-1], local[1:]):
-            if b - a <= 0.0:
-                continue
-            seg = np.linspace(a, b, steps_per_segment + 1)
-            mids = 0.5 * (seg[:-1] + seg[1:])
-            amps = np.interp(mids, [p[0] for p in shape.breakpoints], [p[1] for p in shape.breakpoints])
-            amps = amps - shape.baseline
-            stack = np.zeros((len(mids), d, d), dtype=complex)
-            stack[:, k - 1, k] = -d_k * amps * np.exp(1j * sp.pulse.phase)
-            stack[:, k, k - 1] = np.conj(stack[:, k - 1, k])
-            h_blocks.append(stack)
-            dt_blocks.append(np.diff(seg))
-            knots.append(off + b)
-    if not h_blocks:
-        return np.zeros((0, d, d), dtype=complex), np.zeros(0), np.array(knots)
-    return np.concatenate(h_blocks), np.concatenate(dt_blocks), np.array(knots)
+        base = shape.baseline
+        for (t0, a0), (t1, a1) in zip(shape.breakpoints[:-1], shape.breakpoints[1:]):
+            if t1 < t0:
+                raise ValidationError(f"breakpoint times must not decrease, got {t0} then {t1}")
+            if t1 > t0:
+                yield _Segment(
+                    offset + t0, offset + t1, k, d_k, sp.pulse.phase, a0 - base, a1 - base
+                )
+        offset += shape.duration
+
+
+def _rotate(u: np.ndarray, seg: _Segment, t: float) -> None:
+    """Apply the segment's block, played from t_lo to t, to rows k-1 and k of u in place.
+
+    The block is the pulse_unitary one: [[c, i e^{i phi} s], [i e^{-i phi} s, c]].
+    """
+    angle = seg.area(t)
+    c = math.cos(angle)
+    e = 1j * math.sin(angle) * cmath.exp(1j * seg.phase)
+    rows = u[seg.k - 1 : seg.k + 1]
+    rows[:] = np.array([[c, e], [-e.conjugate(), c]]) @ rows
+
+
+def _drive_energy(segments: list, done: int, t: float, state: np.ndarray) -> float:
+    """Tr[H(t) state] for the rotating-frame drive at time t.
+
+    segments[:done] have finished by t. At a boundary the earlier segment
+    applies, as in schedule_hamiltonian; outside every segment H is zero.
+    """
+    if done > 0 and segments[done - 1].t_hi == t:
+        seg = segments[done - 1]
+    elif done < len(segments) and segments[done].t_lo <= t:
+        seg = segments[done]
+    else:
+        return 0.0
+    coupling = -seg.dipole * seg.amplitude(t) * cmath.exp(1j * seg.phase)
+    return 2.0 * (coupling * state[seg.k, seg.k - 1]).real
 
 
 def _resolve_dipole(sp: ScheduledPulse, dipoles) -> float:
@@ -251,76 +305,71 @@ def simulate_schedule(
     target=None,
     rho0=None,
     steps_per_segment: int = STEPS_PER_SEGMENT,
-    refine: bool = True,
-    refine_atol: float = REFINE_ATOL,
-    max_refinements: int = MAX_REFINEMENTS,
     samples: int = TRAJECTORY_SAMPLES,
 ) -> PropagationResult:
-    """Propagate a shaped schedule end to end.
+    """Play a shaped schedule back end to end.
 
-    Pulses play back to back in application order. When a target is given
-    the fidelity is computed after residual-phase accounting, comparing
-    the propagated train against target @ R with R the residual diagonal.
-    With refine=True the step count per segment doubles until the final
-    unitary changes by less than refine_atol in max norm.
+    Pulses play back to back in application order. Each envelope segment
+    is one closed-form block rotation with area D * integral (a - baseline)
+    dt over the segment, so the final unitary is exact up to roundoff and
+    no refinement is done. When a target is given the fidelity is computed
+    after residual-phase accounting, comparing the propagated train against
+    target @ R with R the residual diagonal.
+
+    With rho0, the state and the drive energy Tr[H(t) rho(t)] are sampled
+    at up to `samples` times picked from the grid that splits every segment
+    into steps_per_segment equal steps. Setting that grid is all
+    steps_per_segment does; it has no effect on accuracy. A segment still
+    playing at a sample time contributes the closed-form area of its linear
+    ramp up to that time.
     """
+    if (
+        isinstance(steps_per_segment, bool)
+        or not isinstance(steps_per_segment, numbers.Integral)
+        or steps_per_segment < 1
+    ):
+        raise ValidationError(
+            f"steps_per_segment must be an integer >= 1, got {steps_per_segment!r}"
+        )
     d = sched.dimension
-
-    def run(per_segment: int):
-        h_stack, dts, knots = _schedule_stacks(sched, dipoles, per_segment)
-        if len(dts) == 0:
-            return np.eye(d, dtype=complex), knots, h_stack, dts
-        steps = _step_unitaries(h_stack, dts, atol=np.inf)  # built Hermitian by construction
-        u = np.eye(d, dtype=complex)
-        for s in steps:
-            u = s @ u
-        return u, knots, h_stack, dts
-
-    u_final, knots, h_stack, dts = run(steps_per_segment)
-    if refine and len(dts):
-        per = steps_per_segment
-        for _ in range(max_refinements):
-            per *= 2
-            u_next, *_ = run(per)
-            change = float(np.abs(u_next - u_final).max())
-            u_final = u_next
-            if change < refine_atol:
-                break
-        else:
-            raise NumericalError(
-                f"propagation did not converge to {refine_atol} after {max_refinements} refinements"
-            )
-
-    fid = None
-    if target is not None:
-        reference = as_square_matrix(target) @ sched.residual_matrix()
-        fid = fidelity(reference, u_final)
-
-    result = PropagationResult(final_unitary=u_final, times=np.array([0.0, max(sched.total_time, 0.0)]))
-    result.fidelity_to_target = fid
+    segments = list(_segments(sched, dipoles))
+    u = np.eye(d, dtype=complex)
+    result = PropagationResult(final_unitary=u, times=np.array([0.0, max(sched.total_time, 0.0)]))
+    done = 0
 
     if rho0 is not None:
-        # replay on a fixed grid to sample the state trajectory
-        times = _knot_grid(knots, steps_per_segment)
-        traj = evolve_density(
-            rho0,
-            schedule_hamiltonian(sched, dipoles),
-            TimeGrid(times=times),
-            samples=samples,
-            target=None,
-        )
-        result.state_trajectory = traj.state_trajectory
-        result.energy_trajectory = traj.energy_trajectory
-        result.times = traj.times
+        rho = validate_density_matrix(rho0)
+        if rho.shape != (d, d):
+            raise ValidationError(f"rho0 has shape {rho.shape}, the schedule acts on dimension {d}")
+        knots = np.unique([0.0] + [seg.t_hi for seg in segments])
+        if len(knots) < 2:
+            knots = np.array([0.0, 1.0])
+        grid = TimeGrid.from_breakpoints(knots, steps_per_segment).times
+        n_steps = len(grid) - 1
+        picks = np.unique(np.round(np.linspace(0, n_steps, min(samples, n_steps + 1))).astype(int))
+        result.times = grid[picks]
+        result.state_trajectory = []
+        energies = []
+        for t in result.times:
+            while done < len(segments) and segments[done].t_hi <= t:
+                _rotate(u, segments[done], segments[done].t_hi)
+                done += 1
+            now = u
+            if done < len(segments) and segments[done].t_lo < t:
+                now = u.copy()
+                _rotate(now, segments[done], t)
+            state = now @ rho @ now.conj().T
+            result.state_trajectory.append(state)
+            energies.append(_drive_energy(segments, done, t, state))
+        result.energy_trajectory = np.array(energies)
+
+    for seg in segments[done:]:
+        _rotate(u, seg, seg.t_hi)
+
+    if target is not None:
+        reference = as_square_matrix(target) @ sched.residual_matrix()
+        result.fidelity_to_target = fidelity(reference, u)
     return result
-
-
-def _knot_grid(knots: np.ndarray, steps_per_segment: int) -> np.ndarray:
-    uniq = np.unique(knots)
-    if len(uniq) < 2:
-        uniq = np.array([0.0, 1.0])
-    pieces = [np.linspace(a, b, steps_per_segment + 1)[:-1] for a, b in zip(uniq[:-1], uniq[1:])]
-    return np.append(np.concatenate(pieces), uniq[-1])
 
 
 def schedule_hamiltonian(sched: PulseSchedule, dipoles=None):

@@ -63,13 +63,6 @@ def matrix_from_json(obj: dict, what: str = "matrix") -> np.ndarray:
     return re + 1j * im
 
 
-def vector_from_json(obj, what: str = "vector") -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim != 1:
-        raise ValidationError(f"{what} must be a flat list of numbers")
-    return arr
-
-
 def binding_report_to_json(report: BindingEnergyReport) -> dict:
     return {
         "delta_u_be": report.delta_u_be,

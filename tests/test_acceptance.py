@@ -116,7 +116,7 @@ def test_criterion_04_end_to_end_schedule_fidelity():
         for _ in range(n):
             u = random_unitary(rng, d)
             sched = schedule(u, SYM)
-            result = simulate_schedule(sched, target=u, steps_per_segment=24, refine=False)
+            result = simulate_schedule(sched, target=u, steps_per_segment=24)
             worst = min(worst, result.fidelity_to_target)
     elapsed = time.monotonic() - t0
     assert worst >= 1.0 - 1e-6
@@ -268,7 +268,7 @@ def test_criterion_08_maximally_mixed_invariance():
         sched = schedule(u, SYM)
         mixed = np.eye(d) / d
         result = simulate_schedule(
-            sched, rho0=mixed, steps_per_segment=16, refine=False, samples=21
+            sched, rho0=mixed, steps_per_segment=16, samples=21
         )
         for state in result.state_trajectory:
             worst = max(worst, np.abs(state - mixed).max())

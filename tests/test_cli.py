@@ -106,6 +106,18 @@ def test_simulate_bundled_example(tmp_path):
     assert abs(float(last[4]) - 1.0) < 1e-6
 
 
+def test_simulate_bad_step_count_is_validation_error(tmp_path, capsys):
+    with open(os.path.join(PROBLEMS, "simulate_half_swap.json")) as fh:
+        problem = json.load(fh)
+    for steps in (0, -1, 2.5):
+        problem["payload"]["steps_per_segment"] = steps
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(problem))
+        code = main(["simulate", "--in", str(f), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "steps_per_segment" in capsys.readouterr().err
+
+
 def test_envelope_csv_samples_every_pulse(tmp_path):
     problem = os.path.join(PROBLEMS, "synth_two_pair_swap.json")
     code, outdir = _run(["synth", "--in", problem], tmp_path)

@@ -1,10 +1,12 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qbond.binding import binding_energy, passive_state
+from qbond.binding import binding_energy, passive_state, thermal_state
 from qbond.errors import ValidationError
 from qbond.operators import hermitian_eigendecomposition
 from qbond.propagation import (
@@ -209,6 +211,111 @@ def test_simulate_schedule_infers_dipole_from_shapes():
     # no dipole passed to simulate: inferred from area / realized_area
     result = simulate_schedule(sched, target=u_target, steps_per_segment=32)
     assert result.fidelity_to_target >= 1.0 - 1e-6
+
+
+def test_simulate_schedule_rejects_bad_step_count():
+    rng = np.random.default_rng(47)
+    u_target = random_unitary(rng, 3)
+    sched = schedule(u_target, SYM)
+    for steps in (0, -3, 2.5, "4", True, None):
+        with pytest.raises(ValidationError, match="steps_per_segment"):
+            simulate_schedule(sched, target=u_target, steps_per_segment=steps)
+
+
+def test_simulate_schedule_rejects_malformed_input():
+    rng = np.random.default_rng(53)
+    u_target = random_unitary(rng, 3)
+    sched = schedule(u_target, SYM)
+    with pytest.raises(ValidationError, match="rho0"):
+        simulate_schedule(sched, rho0=np.eye(2) / 2.0)
+    first = sched.pulses[0]
+    outside = dataclasses.replace(
+        first, pulse=TransitionPulse(transition=(3, 4), area=first.pulse.area, phase=0.0)
+    )
+    with pytest.raises(ValidationError, match="exceeds dimension"):
+        simulate_schedule(dataclasses.replace(sched, pulses=[outside]))
+    backwards = PulseShape(
+        breakpoints=((0.0, 0.0), (2.0, 1.0), (1.0, 0.0)), duration=1.0, realized_area=1.0
+    )
+    reversed_pulse = dataclasses.replace(first, shape=backwards)
+    with pytest.raises(ValidationError, match="breakpoint times"):
+        simulate_schedule(dataclasses.replace(sched, pulses=[reversed_pulse]))
+
+
+def _schedule_knots(sched):
+    """Every breakpoint on the schedule clock, pulses back to back from 0."""
+    knots, offset = [0.0], 0.0
+    for sp in sched.pulses:
+        knots.extend(offset + t for t, _ in sp.shape.breakpoints)
+        offset += sp.shape.duration
+    return knots
+
+
+def test_simulate_schedule_matches_generic_density_route():
+    # closed-form segment rotations against the midpoint spectral route on
+    # the same grid: Haar targets, per-transition dipoles, thermal rho0
+    rng = np.random.default_rng(37)
+    for d in range(4, 9):
+        u_target = random_unitary(rng, d)
+        dipoles = {k: float(rng.uniform(0.5, 2.0)) for k in range(1, d)}
+        sched = schedule(u_target, SYM, dipoles=dipoles)
+        rho0 = thermal_state(random_hermitian(rng, d), 1.0)
+        grid = TimeGrid.from_breakpoints(_schedule_knots(sched), 8)
+        oracle = evolve_density(rho0, schedule_hamiltonian(sched, dipoles), grid, samples=41)
+        got = simulate_schedule(
+            sched, dipoles=dipoles, target=u_target, rho0=rho0, steps_per_segment=8, samples=41
+        )
+        assert np.abs(got.final_unitary - oracle.final_unitary).max() < 1e-9
+        assert got.times.shape == oracle.times.shape
+        assert np.abs(got.times - oracle.times).max() < 1e-9
+        assert len(got.state_trajectory) == len(oracle.state_trajectory)
+        for mine, theirs in zip(got.state_trajectory, oracle.state_trajectory):
+            assert np.abs(mine - theirs).max() < 1e-9
+        assert np.abs(oracle.energy_trajectory).max() > 1e-3
+        assert np.abs(got.energy_trajectory - oracle.energy_trajectory).max() < 1e-9
+        assert got.fidelity_to_target >= 1.0 - 1e-9
+
+
+def test_simulate_schedule_plays_the_envelope_not_the_stored_area():
+    rng = np.random.default_rng(41)
+    u_target = random_unitary(rng, 4)
+    sched = schedule(u_target, SYM, dipoles=1.7)
+    honest = simulate_schedule(sched, dipoles=1.7, target=u_target).fidelity_to_target
+    assert honest >= 1.0 - 1e-9
+
+    def tampered(edit):
+        pulses = [dataclasses.replace(sp, shape=edit(sp.shape)) for sp in sched.pulses]
+        return dataclasses.replace(sched, pulses=pulses)
+
+    def misstate(sh):
+        return dataclasses.replace(sh, realized_area=3.0 * sh.realized_area + 1.0)
+
+    wrong_area = tampered(misstate)
+    assert simulate_schedule(wrong_area, dipoles=1.7, target=u_target).fidelity_to_target == honest
+
+    def halve(sh):
+        points = tuple((t, sh.baseline + 0.5 * (a - sh.baseline)) for t, a in sh.breakpoints)
+        return dataclasses.replace(sh, breakpoints=points)
+
+    halved = tampered(halve)
+    assert simulate_schedule(halved, dipoles=1.7, target=u_target).fidelity_to_target < 0.99
+
+
+def test_simulate_schedule_d32_in_bounded_memory():
+    # playback holds one propagator plus the sampled trajectory, never a
+    # per-step stack of dense generators
+    rng = np.random.default_rng(43)
+    u_target = random_unitary(rng, 32)
+    sched = schedule(u_target, SYM, dipoles=1.5)
+    rho0 = thermal_state(random_hermitian(rng, 32), 1.0)
+    tracemalloc.start()
+    try:
+        result = simulate_schedule(sched, dipoles=1.5, target=u_target, rho0=rho0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1.0 - result.fidelity_to_target <= 1e-9
+    assert peak < 20e6
 
 
 def test_energy_bookkeeping_full_run():
