@@ -145,9 +145,10 @@ def binding_energy(rho0, h_free, h_int, atol: float = HERMITIAN_ATOL) -> Binding
 def optimal_unitary_pure(psi0, free_spectrum: SpectralDecomposition, atol: float = 1e-10) -> np.ndarray:
     """Unitary taking a pure state to the free ground state.
 
-    The first column pair sends psi0 to the lowest-energy eigenstate; the
-    rest of the basis is completed deterministically by Gram-Schmidt over
-    the standard basis in index order, with phases left untouched.
+    The same assembly as binding_energy applied to |psi0><psi0|: its
+    eigenvectors, sorted by nonincreasing population, are mapped onto the
+    free eigenstates in order, so psi0 (population 1) lands on the lowest
+    level up to a global phase.
     """
     psi = np.asarray(psi0, dtype=complex).reshape(-1)
     if len(psi) != free_spectrum.dim:
@@ -157,23 +158,9 @@ def optimal_unitary_pure(psi0, free_spectrum: SpectralDecomposition, atol: float
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > atol:
         raise ValidationError(f"pure state norm is {norm!r}, expected 1 within {atol:.1e}")
-
-    d = len(psi)
-    basis = [psi / norm]
-    for i in range(d):
-        if len(basis) == d:
-            break
-        v = np.zeros(d, dtype=complex)
-        v[i] = 1.0
-        for b in basis:
-            v -= b * np.vdot(b, v)
-        vn = float(np.linalg.norm(v))
-        if vn > 1e-8:    # skip directions already spanned
-            basis.append(v / vn)
-    if len(basis) != d:
-        raise ValidationError("failed to complete an orthonormal basis from the standard vectors")
-    source = np.column_stack(basis)
-    return free_spectrum.eigenvectors @ source.conj().T
+    state = hermitian_eigendecomposition(np.outer(psi, psi.conj()))
+    order = descending_order(state.eigenvalues)
+    return free_spectrum.eigenvectors @ state.eigenvectors[:, order].conj().T
 
 
 def gibbs_weights(energies, beta: float, degeneracy_atol: float = DEGENERACY_ATOL) -> np.ndarray:

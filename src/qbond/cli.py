@@ -29,6 +29,7 @@ from . import serialization as ser
 from . import tunneling_well as well_mod
 from .constants import ANGSTROM_M, ELECTRON_MASS_KG, ELECTRON_VOLT_J, NANOMETER_M, joule_to_ev
 from .errors import NumericalError, ValidationError
+from .operators import hermitian_eigendecomposition
 
 TOL_ENV_VAR = "QBOND_TOL"
 
@@ -80,8 +81,6 @@ def run_binding(payload: dict, args) -> list[str]:
     report = binding_mod.binding_energy(rho0, h_free, h_int, **kwargs)
     written = [_write(args.out, "binding_report.json", ser.binding_report_to_json(report))]
     if args.format == "csv":
-        from .operators import hermitian_eigendecomposition
-
         spec = hermitian_eigendecomposition(h_free)
         pops = np.real(np.diag(spec.eigenvectors.conj().T @ report.passive_state @ spec.eigenvectors))
         lines = ["level,energy,population"]
@@ -299,9 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"validation tolerance override (default from ${TOL_ENV_VAR} when set)",
         )
         p.add_argument("--format", choices=("json", "csv"), default="json", help="output flavor")
-        p.add_argument(
-            "--seed", type=int, default=0, help="reserved for randomized helpers; unused here"
-        )
     return parser
 
 

@@ -15,9 +15,5 @@ ANGSTROM_M = 1e-10
 NANOMETER_M = 1e-9
 
 
-def ev_to_joule(energy_ev: float) -> float:
-    return energy_ev * ELECTRON_VOLT_J
-
-
 def joule_to_ev(energy_j: float) -> float:
     return energy_j / ELECTRON_VOLT_J

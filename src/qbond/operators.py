@@ -32,10 +32,13 @@ IMAG_ATOL = 1e-10               # residual imaginary part of real scalars
 
 
 def as_square_matrix(matrix) -> np.ndarray:
-    """Coerce to a square complex array, rejecting anything else."""
+    """Coerce to a square complex array of finite entries, rejecting anything else."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0]
+        raise ValidationError(f"matrix has a non-finite entry {m[i, j]} at ({i}, {j})")
     return m
 
 

@@ -4,10 +4,11 @@ Schedule playback (simulate_schedule) uses the structure of a pulse train.
 Every pulse drives one fixed level pair (k, k+1) with one fixed carrier
 phase, so its generators commute at all times and the propagator of one
 linear envelope segment is the closed-form pulse block with area
-D * integral (a - baseline) dt. Playback applies one such block rotation to
-two rows of the accumulated propagator per segment: O(d) work per segment,
-O(d^2) memory in total, exact up to roundoff, with no step size to refine.
-steps_per_segment only sets the grid the state trajectory is sampled on.
+D * integral (a - baseline) dt. Playback applies one such block per segment
+with pulse_synthesis._rotate_rows: O(d) work per segment, O(d^2) memory in
+total, exact up to roundoff, with no step size to refine. steps_per_segment
+only sets the grid the state trajectory is sampled on. D is the dipole
+recorded on each pulse unless dipoles overrides it; it is never inferred.
 
 evolve_unitary and evolve_density are the generic route for arbitrary,
 possibly non-commuting Hamiltonian callables. They multiply per-step
@@ -20,7 +21,6 @@ express a schedule as such callables.
 from __future__ import annotations
 
 import cmath
-import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,7 +34,7 @@ from .operators import (
     hermitian_eigendecomposition,
     validate_density_matrix,
 )
-from .pulse_synthesis import PulseSchedule, ScheduledPulse, _lookup
+from .pulse_synthesis import PulseSchedule, _dipole, _rotate_rows
 
 STEPS_PER_SEGMENT = 200
 COMMUTATOR_ATOL = 1e-8
@@ -84,32 +84,29 @@ class PropagationResult:
     fidelity_to_target: float | None = None
 
 
-def _step_unitaries(h_stack: np.ndarray, dts: np.ndarray, atol: float) -> np.ndarray:
-    """Spectral exponentials exp(-i H_n dt_n) for a stack of Hermitian generators."""
+def _step_unitaries(h_of_t, times: np.ndarray, atol: float) -> np.ndarray:
+    """Spectral exponentials exp(-i H(t_mid) dt) for every step of a time grid."""
+    h_stack = np.array([as_square_matrix(h_of_t(t)) for t in 0.5 * (times[:-1] + times[1:])])
     drift = float(np.abs(h_stack - np.conj(np.swapaxes(h_stack, -1, -2))).max())
     if drift > atol:
         raise ValidationError(f"step generator departs from Hermitian by {drift:.3e}")
     w, v = np.linalg.eigh(h_stack)
-    phases = np.exp(-1j * w * dts[:, None])
+    phases = np.exp(-1j * w * np.diff(times)[:, None])
     return np.einsum("nij,nj,nkj->nik", v, phases, v.conj())
 
 
 def evolve_unitary(h_of_t, grid: TimeGrid, hermitian_atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Time-ordered propagator over the grid for a Hamiltonian callable h_of_t."""
-    times = grid.times
-    mids = 0.5 * (times[:-1] + times[1:])
-    dts = np.diff(times)
-    first = as_square_matrix(h_of_t(mids[0]))
-    d = first.shape[0]
-    stack = np.empty((len(mids), d, d), dtype=complex)
-    stack[0] = first
-    for n, t in enumerate(mids[1:], start=1):
-        stack[n] = h_of_t(t)
-    steps = _step_unitaries(stack, dts, hermitian_atol)
-    u = np.eye(d, dtype=complex)
+    steps = _step_unitaries(h_of_t, grid.times, hermitian_atol)
+    u = np.eye(steps.shape[1], dtype=complex)
     for s in steps:
         u = s @ u
     return u
+
+
+def _sample_picks(n_steps: int, samples: int) -> np.ndarray:
+    """Indices of at most `samples` points spread evenly over grid points 0..n_steps."""
+    return np.unique(np.round(np.linspace(0, n_steps, min(samples, n_steps + 1))).astype(int))
 
 
 def fidelity(u_a: np.ndarray, u_b: np.ndarray) -> float:
@@ -141,21 +138,14 @@ def evolve_density(
     rho = validate_density_matrix(rho0, hermitian_atol=hermitian_atol)
     meter = h_of_t if h_measure is None else h_measure
     times = grid.times
-    mids = 0.5 * (times[:-1] + times[1:])
-    dts = np.diff(times)
-    d = rho.shape[0]
-    stack = np.empty((len(mids), d, d), dtype=complex)
-    for n, t in enumerate(mids):
-        stack[n] = h_of_t(t)
-    steps = _step_unitaries(stack, dts, hermitian_atol)
-
+    steps = _step_unitaries(h_of_t, times, hermitian_atol)
     n_steps = len(steps)
-    picks = np.unique(np.round(np.linspace(0, n_steps, min(samples, n_steps + 1))).astype(int))
+    picks = _sample_picks(n_steps, samples)
     sample_times = times[picks]
 
     states = []
     energies = []
-    u = np.eye(d, dtype=complex)
+    u = np.eye(rho.shape[0], dtype=complex)
     cursor = 0
     for idx in range(n_steps + 1):
         if cursor < len(picks) and idx == picks[cursor]:
@@ -245,7 +235,7 @@ def _segments(sched: PulseSchedule, dipoles):
         if sp.pulse.transition[1] > d:
             raise ValidationError(f"transition {sp.pulse.transition} exceeds dimension {d}")
         k = sp.pulse.transition[0]
-        d_k = _resolve_dipole(sp, dipoles)
+        d_k = _dipole(dipoles, k, sp.dipole)
         base = shape.baseline
         for (t0, a0), (t1, a1) in zip(shape.breakpoints[:-1], shape.breakpoints[1:]):
             if t1 < t0:
@@ -255,18 +245,6 @@ def _segments(sched: PulseSchedule, dipoles):
                     offset + t0, offset + t1, k, d_k, sp.pulse.phase, a0 - base, a1 - base
                 )
         offset += shape.duration
-
-
-def _rotate(u: np.ndarray, seg: _Segment, t: float) -> None:
-    """Apply the segment's block, played from t_lo to t, to rows k-1 and k of u in place.
-
-    The block is the pulse_unitary one: [[c, i e^{i phi} s], [i e^{-i phi} s, c]].
-    """
-    angle = seg.area(t)
-    c = math.cos(angle)
-    e = 1j * math.sin(angle) * cmath.exp(1j * seg.phase)
-    rows = u[seg.k - 1 : seg.k + 1]
-    rows[:] = np.array([[c, e], [-e.conjugate(), c]]) @ rows
 
 
 def _drive_energy(segments: list, done: int, t: float, state: np.ndarray) -> float:
@@ -285,20 +263,6 @@ def _drive_energy(segments: list, done: int, t: float, state: np.ndarray) -> flo
     return 2.0 * (coupling * state[seg.k, seg.k - 1]).real
 
 
-def _resolve_dipole(sp: ScheduledPulse, dipoles) -> float:
-    """Explicit dipole if given, else infer from area = D * realized_area."""
-    k = sp.pulse.transition[0]
-    if dipoles is not None:
-        d_k = float(_lookup(dipoles, k, default=1.0, what="dipole"))
-    elif sp.shape is not None and sp.shape.realized_area > 0.0:
-        d_k = sp.pulse.area / sp.shape.realized_area
-    else:
-        d_k = 1.0
-    if d_k <= 0.0:
-        raise ValidationError(f"dipole for transition ({k}, {k + 1}) must be positive, got {d_k}")
-    return d_k
-
-
 def simulate_schedule(
     sched: PulseSchedule,
     dipoles=None,
@@ -312,9 +276,11 @@ def simulate_schedule(
     Pulses play back to back in application order. Each envelope segment
     is one closed-form block rotation with area D * integral (a - baseline)
     dt over the segment, so the final unitary is exact up to roundoff and
-    no refinement is done. When a target is given the fidelity is computed
-    after residual-phase accounting, comparing the propagated train against
-    target @ R with R the residual diagonal.
+    no refinement is done. D is the dipole recorded on each pulse; dipoles
+    (a scalar, or a mapping keyed by the lower level k) overrides it. When
+    a target is given the fidelity is computed after residual-phase
+    accounting, comparing the propagated train against target @ R with R
+    the residual diagonal.
 
     With rho0, the state and the drive energy Tr[H(t) rho(t)] are sampled
     at up to `samples` times picked from the grid that splits every segment
@@ -345,26 +311,26 @@ def simulate_schedule(
         if len(knots) < 2:
             knots = np.array([0.0, 1.0])
         grid = TimeGrid.from_breakpoints(knots, steps_per_segment).times
-        n_steps = len(grid) - 1
-        picks = np.unique(np.round(np.linspace(0, n_steps, min(samples, n_steps + 1))).astype(int))
-        result.times = grid[picks]
+        result.times = grid[_sample_picks(len(grid) - 1, samples)]
         result.state_trajectory = []
         energies = []
         for t in result.times:
             while done < len(segments) and segments[done].t_hi <= t:
-                _rotate(u, segments[done], segments[done].t_hi)
+                seg = segments[done]
+                _rotate_rows(u, seg.k, seg.area(seg.t_hi), seg.phase)
                 done += 1
             now = u
             if done < len(segments) and segments[done].t_lo < t:
+                seg = segments[done]
                 now = u.copy()
-                _rotate(now, segments[done], t)
+                _rotate_rows(now, seg.k, seg.area(t), seg.phase)
             state = now @ rho @ now.conj().T
             result.state_trajectory.append(state)
             energies.append(_drive_energy(segments, done, t, state))
         result.energy_trajectory = np.array(energies)
 
     for seg in segments[done:]:
-        _rotate(u, seg, seg.t_hi)
+        _rotate_rows(u, seg.k, seg.area(seg.t_hi), seg.phase)
 
     if target is not None:
         reference = as_square_matrix(target) @ sched.residual_matrix()
@@ -377,14 +343,15 @@ def schedule_hamiltonian(sched: PulseSchedule, dipoles=None):
 
     Evaluating between pulses (or outside the schedule) returns the zero
     generator; inside a pulse the rotating-frame generator of that pulse
-    applies with its local clock.
+    applies with its local clock. Dipoles are as in simulate_schedule.
     """
     d = sched.dimension
     spans = []
     t0 = 0.0
     for sp in sched.pulses:
         dur = sp.shape.duration if sp.shape else 0.0
-        gen = rwa_interaction(sp.pulse, sp.shape, _resolve_dipole(sp, dipoles), d)
+        d_k = _dipole(dipoles, sp.pulse.transition[0], sp.dipole)
+        gen = rwa_interaction(sp.pulse, sp.shape, d_k, d)
         spans.append((t0, t0 + dur, gen))
         t0 += dur
 

@@ -9,7 +9,9 @@ A resonant pulse of area C and carrier phase phi on the level pair
 embedded in the identity (rows and columns k, k+1, levels 1-based). The
 area is the dipole-weighted envelope integral, C = D_k * integral A(t) dt
 measured above the envelope baseline, so a full population swap is
-C = pi / 2.
+C = pi / 2. _rotate_rows applies the block to two rows in place, O(d); it is
+the only code that writes the block, and pulse_unitary, the decomposition,
+reconstruct and schedule playback all use it.
 
 Decomposition walks columns of the target from last to first. Within a
 column the nonzero entries above the diagonal position are chained
@@ -27,12 +29,14 @@ returned as residual phases rather than synthesized.
 
 Shaping turns each area into a minimum-duration piecewise-linear envelope
 under amplitude and slew bounds: a triangle when the required peak stays
-below the cap, otherwise a trapezoid riding at the cap.
+below the cap, otherwise a trapezoid riding at the cap. Each shaped pulse
+records the dipole D_k it was shaped for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import cmath
 import math
 
 import numpy as np
@@ -80,7 +84,7 @@ class PulseConstraints:
 
     amplitude_max / amplitude_min bound the envelope (amplitude_min is the
     modulator extinction floor, treated as the baseline); slew_max > 0 and
-    slew_min < 0 bound the signed envelope rate of change.
+    slew_min < 0 bound the signed envelope rate of change; all are finite.
     """
 
     amplitude_max: float
@@ -89,6 +93,9 @@ class PulseConstraints:
     slew_min: float = -1.0
 
     def __post_init__(self):
+        fields = (self.amplitude_max, self.amplitude_min, self.slew_max, self.slew_min)
+        if not all(math.isfinite(x) for x in fields):
+            raise ValidationError(f"pulse constraints must be finite, got {fields}")
         if not (0.0 <= self.amplitude_min <= self.amplitude_max):
             raise ValidationError(
                 f"need 0 <= amplitude_min <= amplitude_max, got {self.amplitude_min}, {self.amplitude_max}"
@@ -137,8 +144,14 @@ class PulseShape:
 
 @dataclass(frozen=True)
 class ScheduledPulse:
+    """A pulse, its envelope and the dipole D_k the envelope was shaped for."""
+
     pulse: TransitionPulse
     shape: PulseShape | None = None
+    dipole: float = 1.0
+
+    def __post_init__(self):
+        _dipole(None, self.pulse.transition[0], self.dipole)
 
 
 @dataclass
@@ -165,21 +178,29 @@ class PulseSchedule:
     def reconstruct(self) -> np.ndarray:
         u = np.eye(self.dimension, dtype=complex)
         for sp in self.pulses:
-            u = pulse_unitary(sp.pulse, self.dimension) @ u
-        return u @ self.residual_matrix().conj().T
+            _rotate_rows(u, sp.pulse.transition[0], sp.pulse.area, sp.pulse.phase)
+        # u @ R^dag: scale column j by exp(-i theta_j)
+        return u * np.exp(-1j * np.asarray(self.residual_phases))
+
+
+def _rotate_rows(u: np.ndarray, k: int, area: float, phase: float) -> None:
+    """Left-multiply rows k-1 and k of u in place by the pulse block on (k, k+1).
+
+    The block is [[c, i e^{i phi} s], [i e^{-i phi} s, c]] with c, s the
+    cosine and sine of the area; this is the only code that writes it.
+    """
+    if k >= u.shape[0]:
+        raise ValidationError(f"transition ({k}, {k + 1}) exceeds dimension {u.shape[0]}")
+    c, s = math.cos(area), math.sin(area)
+    e = 1j * cmath.exp(1j * phase) * s
+    rows = u[k - 1 : k + 1]
+    rows[:] = np.array([[c, e], [-e.conjugate(), c]]) @ rows
 
 
 def pulse_unitary(pulse: TransitionPulse, dimension: int) -> np.ndarray:
     """Embed the closed-form pulse block into the identity."""
-    k = pulse.transition[0]
-    if pulse.transition[1] > dimension:
-        raise ValidationError(f"transition {pulse.transition} exceeds dimension {dimension}")
-    c, s = math.cos(pulse.area), math.sin(pulse.area)
     u = np.eye(dimension, dtype=complex)
-    u[k - 1, k - 1] = c
-    u[k, k] = c
-    u[k - 1, k] = 1j * np.exp(1j * pulse.phase) * s
-    u[k, k - 1] = 1j * np.exp(-1j * pulse.phase) * s
+    _rotate_rows(u, pulse.transition[0], pulse.area, pulse.phase)
     return u
 
 
@@ -226,7 +247,7 @@ def givens_decompose(target, unitary_atol: float = UNITARY_ATOL) -> PulseSchedul
     Returns a PulseSchedule with areas and phases only (shapes unset).
     The identity reconstructed from it matches the target to roundoff;
     the trailing diagonal is reported through residual_phases. Pulse
-    count is at most d (d - 1) / 2.
+    count is at most d (d - 1) / 2; each one rotates two rows in place.
     """
     u = validate_unitary(as_square_matrix(target), atol=unitary_atol)
     d = u.shape[0]
@@ -238,9 +259,8 @@ def givens_decompose(target, unitary_atol: float = UNITARY_ATOL) -> PulseSchedul
             if abs(work[row - 1, col - 1]) <= ELIMINATION_ATOL:
                 continue
             area, phase = _descend_angles(work[:, col - 1], row)
-            w = TransitionPulse(transition=(row, row + 1), area=area, phase=phase)
-            work = pulse_unitary(w, d) @ work
-            eliminations.append(w)
+            _rotate_rows(work, row, area, phase)
+            eliminations.append(TransitionPulse(transition=(row, row + 1), area=area, phase=phase))
 
     off_diag = work - np.diag(np.diag(work))
     worst = float(np.abs(off_diag).max()) if d > 1 else 0.0
@@ -328,29 +348,28 @@ def schedule(target, constraints, dipoles=None, unitary_atol: float = UNITARY_AT
         area). A scalar applies everywhere; a mapping is keyed by the
         lower level k. Defaults to 1.0.
 
-    The envelope of pulse m must integrate to C_m / D_k above baseline.
+    The envelope of pulse m must integrate to C_m / D_k above baseline;
+    each ScheduledPulse records the D_k it was shaped for.
     """
     plan = givens_decompose(target, unitary_atol=unitary_atol)
     total = 0.0
     shaped: list[ScheduledPulse] = []
     for sp in plan.pulses:
         k = sp.pulse.transition[0]
-        d_k = _lookup(dipoles, k, default=1.0, what="dipole")
-        if d_k <= 0.0:
-            raise ValidationError(f"dipole for transition ({k}, {k + 1}) must be positive, got {d_k}")
-        limits = _lookup(constraints, k, default=None, what="constraints")
+        d_k = _dipole(dipoles, k)
+        limits = _lookup(constraints, k, what="constraints")
         if limits is None:
             raise ValidationError(f"no constraints provided for transition ({k}, {k + 1})")
         shape = shape_pulse(sp.pulse.area / d_k, limits)
-        shaped.append(ScheduledPulse(pulse=sp.pulse, shape=shape))
+        shaped.append(ScheduledPulse(pulse=sp.pulse, shape=shape, dipole=d_k))
         total += shape.duration
     return PulseSchedule(pulses=shaped, residual_phases=plan.residual_phases, total_time=total)
 
 
-def _lookup(table, key: int, default, what: str):
+def _lookup(table, key: int, what: str):
     """Scalar, mapping or None resolution for per-transition parameters."""
     if table is None:
-        return default
+        return None
     if isinstance(table, PulseConstraints):
         return table
     if isinstance(table, (int, float)):
@@ -359,3 +378,13 @@ def _lookup(table, key: int, default, what: str):
         return table[key]
     except (KeyError, IndexError, TypeError):
         raise ValidationError(f"no {what} entry for transition lower level {key}") from None
+
+
+def _dipole(dipoles, k: int, recorded: float = 1.0) -> float:
+    """D_k for transition (k, k+1): from explicit dipoles when given, else the recorded value."""
+    d_k = recorded if dipoles is None else float(_lookup(dipoles, k, what="dipole"))
+    if not (math.isfinite(d_k) and d_k > 0.0):
+        raise ValidationError(
+            f"dipole for transition ({k}, {k + 1}) must be finite and positive, got {d_k}"
+        )
+    return d_k

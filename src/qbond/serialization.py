@@ -7,7 +7,8 @@ A complex matrix travels as
 with full double precision (row major). Every emitted JSON document
 re-parses to bit-identical values because floats are serialized through
 repr. Schemas are strict: unknown keys are rejected so that typos fail
-loudly instead of being ignored.
+loudly instead of being ignored. A schedule pulse may carry a "dipole"
+key, the D_k its envelope was shaped for; it defaults to 1.0 when absent.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ def schedule_to_json(sched: PulseSchedule) -> dict:
                 "phase": sp.pulse.phase,
                 "breakpoints": [[t, a] for t, a in (shape.breakpoints if shape else ())],
                 "duration": shape.duration if shape else 0.0,
+                "dipole": sp.dipole,
             }
         )
     return {
@@ -99,7 +101,10 @@ def schedule_from_json(obj: dict) -> PulseSchedule:
     pulses = []
     for n, p in enumerate(obj["pulses"]):
         require_keys(
-            p, {"transition", "area", "phase", "breakpoints", "duration"}, what=f"pulse {n}"
+            p,
+            {"transition", "area", "phase", "breakpoints", "duration"},
+            optional={"dipole"},
+            what=f"pulse {n}",
         )
         pulse = TransitionPulse(
             transition=tuple(int(x) for x in p["transition"]),
@@ -118,7 +123,10 @@ def schedule_from_json(obj: dict) -> PulseSchedule:
             shape = PulseShape(breakpoints=points, duration=duration, realized_area=realized)
         else:
             shape = None
-        pulses.append(ScheduledPulse(pulse=pulse, shape=shape))
+        dipole = p.get("dipole", 1.0)
+        if isinstance(dipole, bool) or not isinstance(dipole, (int, float)):
+            raise ValidationError(f"pulse {n}: dipole must be a number, got {dipole!r}")
+        pulses.append(ScheduledPulse(pulse=pulse, shape=shape, dipole=float(dipole)))
     return PulseSchedule(
         pulses=pulses,
         residual_phases=np.asarray(obj["residual_phases"], dtype=float),

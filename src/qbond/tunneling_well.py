@@ -30,6 +30,7 @@ import numpy as np
 
 from .constants import ELECTRON_MASS_KG, HBAR_JS
 from .errors import NumericalError, ValidationError
+from .operators import validate_probability_vector
 
 GRID_POINTS = 10_000
 ENERGY_RTOL = 1e-12
@@ -288,8 +289,6 @@ def excitation_plan(initial_populations, states: list[BoundState]) -> Excitation
     level, the next to the next, which minimizes the excitation energy
     spent. Populations already sitting on tunneling levels stay put.
     """
-    from .operators import validate_probability_vector
-
     p = validate_probability_vector(initial_populations)
     if len(p) != len(states):
         raise ValidationError(

@@ -176,6 +176,24 @@ def test_unphysical_input_is_validation_error(tmp_path):
     assert code == 2
 
 
+def test_non_finite_input_is_validation_error(tmp_path, capsys):
+    nan = float("nan")
+    problem = {
+        "mode": "binding",
+        "payload": {
+            "rho0": {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0, 0], [0, 0]]},
+            "h_free": {"dim": 2, "re": [[0.0, 0.0], [0.0, 1.0]], "im": [[0, 0], [0, 0]]},
+            "h_int": {"dim": 2, "re": [[0.0, nan], [nan, 0.0]], "im": [[0, 0], [0, 0]]},
+        },
+    }
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(problem))
+    code, outdir = _run(["binding", "--in", str(f)], tmp_path)
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(outdir, "binding_report.json"))
+
+
 def test_outputs_are_deterministic(tmp_path):
     problem = os.path.join(PROBLEMS, "well_standard.json")
     _, out1 = _run(["well", "--in", problem], tmp_path, "one")

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -27,6 +29,7 @@ from qbond.pulse_synthesis import (
     schedule,
     shape_pulse,
 )
+from qbond.serialization import schedule_from_json, schedule_to_json
 
 from helpers import random_density, random_hermitian, random_probabilities, random_unitary
 
@@ -299,6 +302,36 @@ def test_simulate_schedule_plays_the_envelope_not_the_stored_area():
 
     halved = tampered(halve)
     assert simulate_schedule(halved, dipoles=1.7, target=u_target).fidelity_to_target < 0.99
+
+
+def test_simulate_plays_recorded_dipoles_not_inferred_ones():
+    # halving every breakpoint of a schedule.json must show up as a lost
+    # fidelity when simulate gets no dipoles: the recorded D_k apply, none
+    # is inferred from the envelope under test
+    rng = np.random.default_rng(59)
+    u_target = random_unitary(rng, 4)
+    sched = schedule(u_target, SYM, dipoles={1: 0.7, 2: 1.9, 3: 1.3})
+    doc = json.loads(json.dumps(schedule_to_json(sched)))
+    honest = simulate_schedule(schedule_from_json(doc), target=u_target).fidelity_to_target
+    assert honest >= 1.0 - 1e-9
+    for p in doc["pulses"]:
+        p["breakpoints"] = [[t, 0.5 * a] for t, a in p["breakpoints"]]
+    halved = schedule_from_json(json.loads(json.dumps(doc)))
+    assert simulate_schedule(halved, target=u_target).fidelity_to_target < 0.99
+
+
+def test_schedule_file_without_dipoles_plays_at_one():
+    path = os.path.join(os.path.dirname(__file__), "..", "problems", "simulate_half_swap.json")
+    with open(path) as fh:
+        payload = json.load(fh)["payload"]
+    assert all("dipole" not in p for p in payload["schedule"]["pulses"])
+    sched = schedule_from_json(payload["schedule"])
+    assert [sp.dipole for sp in sched.pulses] == [1.0] * len(sched.pulses)
+    implicit = simulate_schedule(sched).final_unitary
+    explicit = simulate_schedule(sched, dipoles=1.0).final_unitary
+    assert np.array_equal(implicit, explicit)
+    doubled = simulate_schedule(sched, dipoles=2.0).final_unitary
+    assert np.abs(doubled - implicit).max() > 0.5
 
 
 def test_simulate_schedule_d32_in_bounded_memory():

@@ -142,6 +142,39 @@ def test_givens_rejects_non_unitary():
         givens_decompose(np.diag([1.0, 2.0]))
 
 
+def test_reconstruct_matches_dense_pulse_product():
+    # reconstruct rotates two rows per pulse; the reference multiplies the
+    # dense pulse matrices and the residual diagonal R^dag
+    rng = np.random.default_rng(61)
+    for d in range(2, 13):
+        u = random_unitary(rng, d)
+        sched = givens_decompose(u)
+        dense = np.eye(d, dtype=complex)
+        for sp in sched.pulses:
+            dense = pulse_unitary(sp.pulse, d) @ dense
+        dense = dense @ np.diag(np.exp(1j * sched.residual_phases)).conj().T
+        assert np.abs(sched.reconstruct() - dense).max() < 1e-13
+
+
+def test_givens_d64_pulse_count_and_reconstruct():
+    rng = np.random.default_rng(67)
+    u = random_unitary(rng, 64)
+    sched = givens_decompose(u)
+    assert len(sched.pulses) == 64 * 63 // 2
+    assert np.abs(sched.reconstruct() - u).max() < 1e-10
+
+
+def test_non_finite_input_is_rejected():
+    bad = np.eye(3, dtype=complex)
+    bad[0, 1] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        givens_decompose(bad)
+    with pytest.raises(ValidationError, match="finite"):
+        PulseConstraints(amplitude_max=math.inf)
+    with pytest.raises(ValidationError, match="finite"):
+        PulseConstraints(amplitude_max=1.0, slew_min=-math.nan)
+
+
 def test_shape_pulse_zero_area():
     shape = shape_pulse(0.0, SYM)
     assert shape.duration == 0.0

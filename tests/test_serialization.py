@@ -86,6 +86,37 @@ def test_schedule_round_trip():
     assert np.abs(again.reconstruct() - u).max() < 1e-10
 
 
+def test_schedule_round_trip_keeps_recorded_dipoles():
+    rng = np.random.default_rng(73)
+    u = random_unitary(rng, 4)
+    dipoles = {k: float(rng.uniform(0.5, 2.0)) for k in range(1, 4)}
+    sched = schedule(u, PulseConstraints(amplitude_max=1.0), dipoles=dipoles)
+    again = schedule_from_json(json.loads(json.dumps(schedule_to_json(sched))))
+    recorded = [dipoles[sp.pulse.transition[0]] for sp in sched.pulses]
+    assert [sp.dipole for sp in sched.pulses] == recorded
+    assert [sp.dipole for sp in again.pulses] == recorded
+
+
+def test_schedule_from_json_rejects_bad_dipole():
+    for bad in (0.0, -1.0, float("nan"), float("inf"), "2", True):
+        doc = {
+            "pulses": [
+                {
+                    "transition": [1, 2],
+                    "area": 0.5,
+                    "phase": 0.0,
+                    "breakpoints": [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]],
+                    "duration": 2.0,
+                    "dipole": bad,
+                }
+            ],
+            "residual_phases": [0.0, 0.0],
+            "total_time": 2.0,
+        }
+        with pytest.raises(ValidationError, match="dipole"):
+            schedule_from_json(doc)
+
+
 def test_schedule_from_json_rejects_inconsistent_duration():
     doc = {
         "pulses": [
