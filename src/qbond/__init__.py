@@ -4,10 +4,10 @@ The package has three layers. `binding` computes how much energy a
 state can release through unitary driving (the gap to its passive
 endpoint). `pulse_synthesis` turns the optimal unitary into a sequence
 of nearest-neighbor pulses with shaped envelopes under amplitude and
-slew constraints. `propagation` integrates the driven Schrodinger
-equation to check that the shaped schedule actually implements the
-target. `jaynes_cummings` and `tunneling_well` are worked example
-systems with closed-form structure used for benchmarks.
+slew constraints. `propagation` plays the schedule back, one closed-form
+rotation per envelope segment, to check that it implements the target.
+`jaynes_cummings` and `tunneling_well` are worked example systems with
+closed-form structure used for benchmarks.
 """
 
 from .binding import (

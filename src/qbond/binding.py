@@ -36,6 +36,7 @@ from .operators import (
 
 # absolute tie tolerance when grouping degenerate energies
 DEGENERACY_ATOL = 1e-12
+PURE_NORM_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ def binding_energy(rho0, h_free, h_int, atol: float = HERMITIAN_ATOL) -> Binding
     )
 
 
-def optimal_unitary_pure(psi0, free_spectrum: SpectralDecomposition, atol: float = 1e-10) -> np.ndarray:
+def optimal_unitary_pure(psi0, free_spectrum: SpectralDecomposition) -> np.ndarray:
     """Unitary taking a pure state to the free ground state.
 
     The same assembly as binding_energy applied to |psi0><psi0|: its
@@ -156,14 +157,14 @@ def optimal_unitary_pure(psi0, free_spectrum: SpectralDecomposition, atol: float
             f"state dimension {len(psi)} does not match spectrum dimension {free_spectrum.dim}"
         )
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > atol:
-        raise ValidationError(f"pure state norm is {norm!r}, expected 1 within {atol:.1e}")
+    if abs(norm - 1.0) > PURE_NORM_ATOL:
+        raise ValidationError(f"pure state norm is {norm!r}, expected 1 within {PURE_NORM_ATOL:.1e}")
     state = hermitian_eigendecomposition(np.outer(psi, psi.conj()))
     order = descending_order(state.eigenvalues)
     return free_spectrum.eigenvectors @ state.eigenvectors[:, order].conj().T
 
 
-def gibbs_weights(energies, beta: float, degeneracy_atol: float = DEGENERACY_ATOL) -> np.ndarray:
+def gibbs_weights(energies, beta: float) -> np.ndarray:
     """Normalized Boltzmann weights for energies at inverse temperature beta.
 
     beta = +inf is accepted as the ground-state limit; a degenerate
@@ -173,22 +174,22 @@ def gibbs_weights(energies, beta: float, degeneracy_atol: float = DEGENERACY_ATO
     if beta < 0:
         raise ValidationError(f"inverse temperature must be nonnegative, got {beta}")
     if math.isinf(beta):
-        ground = e <= e.min() + degeneracy_atol
+        ground = e <= e.min() + DEGENERACY_ATOL
         w = ground.astype(float)
         return w / w.sum()
     w = np.exp(-beta * (e - e.min()))    # shift guards against overflow
     return w / w.sum()
 
 
-def thermal_state(hamiltonian, beta: float, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def thermal_state(hamiltonian, beta: float) -> np.ndarray:
     """Gibbs state exp(-beta H) / Z, with beta = +inf handled as a limit."""
-    spec = hermitian_eigendecomposition(hamiltonian, atol=atol)
+    spec = hermitian_eigendecomposition(hamiltonian)
     w = gibbs_weights(spec.eigenvalues, beta)
     v = spec.eigenvectors
     return (v * w) @ v.conj().T
 
 
-def thermal_final_state(h_total, h_free, beta: float, atol: float = HERMITIAN_ATOL):
+def thermal_final_state(h_total, h_free, beta: float):
     """Optimal unbinding endpoint for a thermal state of the coupled system.
 
     The dressed Gibbs weights, which are nonincreasing along the dressed
@@ -196,8 +197,8 @@ def thermal_final_state(h_total, h_free, beta: float, atol: float = HERMITIAN_AT
     order. Returns (final_state, unitary) with
     unitary thermal_state(h_total, beta) unitary^dag = final_state.
     """
-    dressed = hermitian_eigendecomposition(h_total, atol=atol)
-    bare = hermitian_eigendecomposition(h_free, atol=atol)
+    dressed = hermitian_eigendecomposition(h_total)
+    bare = hermitian_eigendecomposition(h_free)
     if dressed.dim != bare.dim:
         raise ValidationError("dressed and bare Hamiltonians differ in dimension")
     w = gibbs_weights(dressed.eigenvalues, beta)

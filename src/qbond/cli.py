@@ -6,9 +6,10 @@ sharing the same calling shape:
     qbond <mode> --in problem.json --out outdir [--tol X] [--format json|csv]
 
 The problem file is {"mode": <mode>, "payload": {...}}; the mode in the
-file must match the subcommand. Outputs are deterministic files with
-fixed names. Exit codes: 0 on success, 2 on validation errors (bad
-schema, unphysical input), 3 on numerical failure (non-convergence).
+file must match the subcommand, its numbers must be finite, and only binding
+and synth take --tol. Outputs are deterministic files with fixed names. Exit
+codes: 0 on success, 2 on validation errors (bad schema, unphysical input),
+3 on numerical failure (non-convergence).
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ from . import serialization as ser
 from . import tunneling_well as well_mod
 from .constants import ANGSTROM_M, ELECTRON_MASS_KG, ELECTRON_VOLT_J, NANOMETER_M, joule_to_ev
 from .errors import NumericalError, ValidationError
-from .operators import hermitian_eigendecomposition
-
-TOL_ENV_VAR = "QBOND_TOL"
+from .operators import HERMITIAN_ATOL, UNITARY_ATOL, hermitian_eigendecomposition
 
 LENGTH_UNITS = {"m": 1.0, "nm": NANOMETER_M, "angstrom": ANGSTROM_M}
 ENERGY_UNITS = {"J": 1.0, "eV": ELECTRON_VOLT_J}
@@ -43,7 +42,7 @@ def _quantity(obj, units: dict, what: str) -> float:
     unit = obj["unit"]
     if unit not in units:
         raise ValidationError(f"{what}: unknown unit {unit!r}, expected one of {sorted(units)}")
-    return float(obj["value"]) * units[unit]
+    return ser._numbers([obj["value"]], what, ("value",))[0] * units[unit]
 
 
 def _load_problem(path: str, mode: str) -> dict:
@@ -77,8 +76,7 @@ def run_binding(payload: dict, args) -> list[str]:
     rho0 = ser.matrix_from_json(payload["rho0"], what="rho0")
     h_free = ser.matrix_from_json(payload["h_free"], what="h_free")
     h_int = ser.matrix_from_json(payload["h_int"], what="h_int")
-    kwargs = {"atol": args.tol} if args.tol is not None else {}
-    report = binding_mod.binding_energy(rho0, h_free, h_int, **kwargs)
+    report = binding_mod.binding_energy(rho0, h_free, h_int, atol=args.tol)
     written = [_write(args.out, "binding_report.json", ser.binding_report_to_json(report))]
     if args.format == "csv":
         spec = hermitian_eigendecomposition(h_free)
@@ -97,11 +95,8 @@ def run_jc(payload: dict, args) -> list[str]:
         optional={"path_length", "velocity"},
         what="jc payload",
     )
-    params = jc_mod.JCParams(
-        omega_a=float(payload["omega_a"]),
-        omega_b=float(payload["omega_b"]),
-        g=float(payload["g"]),
-    )
+    fields = ("omega_a", "omega_b", "g")
+    params = jc_mod.JCParams(*ser._numbers([payload[k] for k in fields], "jc payload", fields))
     basis = jc_mod.dressed_states(params)
     report = jc_mod.jc_binding_energy(params, str(payload["initial"]))
     doc = {
@@ -118,9 +113,9 @@ def run_jc(payload: dict, args) -> list[str]:
     if ("path_length" in payload) != ("velocity" in payload):
         raise ValidationError("path_length and velocity must be given together")
     if "path_length" in payload:
-        flight = jc_mod.flight_phase(
-            params, float(payload["path_length"]), float(payload["velocity"])
-        )
+        fields = ("path_length", "velocity")
+        path_length, velocity = ser._numbers([payload[k] for k in fields], "jc payload", fields)
+        flight = jc_mod.flight_phase(params, path_length, velocity)
         doc["flight"] = {
             "flight_time": flight.flight_time,
             "accumulated_angle": flight.accumulated_angle,
@@ -198,22 +193,17 @@ def _constraints_from_payload(obj) -> synth_mod.PulseConstraints:
         optional={"amplitude_min", "slew_max", "slew_min"},
         what="constraints",
     )
-    return synth_mod.PulseConstraints(
-        amplitude_max=float(obj["amplitude_max"]),
-        amplitude_min=float(obj.get("amplitude_min", 0.0)),
-        slew_max=float(obj.get("slew_max", 1.0)),
-        slew_min=float(obj.get("slew_min", -1.0)),
-    )
+    # an absent field keeps the PulseConstraints default
+    values = ser._numbers(list(obj.values()), "constraints", list(obj))
+    return synth_mod.PulseConstraints(**dict(zip(obj, values)))
 
 
 def _dipoles_from_payload(obj):
-    if obj is None:
-        return None
-    if isinstance(obj, (int, float)):
-        return float(obj)
-    if isinstance(obj, dict):
-        return {int(k): float(v) for k, v in obj.items()}
-    raise ValidationError(f"dipoles must be a number or a mapping, got {type(obj).__name__}")
+    if not isinstance(obj, dict):
+        return None if obj is None else ser._numbers([obj], "payload", ("dipoles",))[0]
+    if not all(str(k).isdecimal() for k in obj):
+        raise ValidationError(f"payload: dipoles keys must be integer levels, got {list(obj)!r}")
+    return dict(zip(map(int, obj), ser._numbers(list(obj.values()), "payload", ("dipoles",))))
 
 
 def run_synth(payload: dict, args) -> list[str]:
@@ -221,8 +211,7 @@ def run_synth(payload: dict, args) -> list[str]:
     target = ser.matrix_from_json(payload["target"], what="target")
     constraints = _constraints_from_payload(payload["constraints"])
     dipoles = _dipoles_from_payload(payload.get("dipoles"))
-    kwargs = {"unitary_atol": args.tol} if args.tol is not None else {}
-    sched = synth_mod.schedule(target, constraints, dipoles=dipoles, **kwargs)
+    sched = synth_mod.schedule(target, constraints, dipoles=dipoles, unitary_atol=args.tol)
     return [
         _write(args.out, "schedule.json", ser.schedule_to_json(sched)),
         _write(args.out, "envelope.csv", ser.envelope_csv(sched)),
@@ -280,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Binding energies of bipartite quantum systems and minimum-time pulse schedules.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    env_tol = os.environ.get(TOL_ENV_VAR)
     for mode, helptext in [
         ("binding", "binding energy and passive endpoint of a state"),
         ("jc", "dressed states and binding energy of the atom-field example"),
@@ -291,12 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(mode, help=helptext)
         p.add_argument("--in", dest="infile", required=True, help="problem JSON file")
         p.add_argument("--out", dest="out", default=".", help="output directory")
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=float(env_tol) if env_tol else None,
-            help=f"validation tolerance override (default from ${TOL_ENV_VAR} when set)",
-        )
+        if mode in ("binding", "synth"):
+            tol = HERMITIAN_ATOL if mode == "binding" else UNITARY_ATOL
+            p.add_argument("--tol", type=float, default=tol, help="validation tolerance override")
         p.add_argument("--format", choices=("json", "csv"), default="json", help="output flavor")
     return parser
 

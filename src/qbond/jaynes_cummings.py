@@ -30,7 +30,6 @@ from .errors import ValidationError
 # tolerance on the dissociation phase condition (radians)
 ANGLE_ATOL = 1e-9
 
-BARE_LABELS = ("0g", "0e", "1g", "1e")
 STATE_LABELS = ("0g", "-", "+", "1e")
 
 
@@ -158,12 +157,7 @@ def printed_mixing_angle(params: JCParams) -> float:
     return 2.0 * math.atan(2.0 * params.g * (params.omega_a - params.omega_b))
 
 
-def flight_phase(
-    params: JCParams,
-    path_length: float,
-    velocity: float,
-    angle_atol: float = ANGLE_ATOL,
-) -> FlightReport:
+def flight_phase(params: JCParams, path_length: float, velocity: float) -> FlightReport:
     """Phase accumulated between the dressed pair over a flight segment.
 
     The pair oscillates at Rabi frequency 2 sqrt(delta^2 + g^2) / hbar.
@@ -183,7 +177,7 @@ def flight_phase(
     rem = math.fmod(angle, math.pi)
     if rem < 0:
         rem += math.pi
-    dissociates = min(rem, math.pi - rem) <= angle_atol
+    dissociates = min(rem, math.pi - rem) <= ANGLE_ATOL
     return FlightReport(flight_time=tau, accumulated_angle=angle, dissociates=dissociates)
 
 

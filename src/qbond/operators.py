@@ -9,8 +9,8 @@ and an eigensolver wrapper with frozen ordering conventions:
 * composite index for a bipartite system is row major with the first
   subsystem as the slow index: gamma = i * dim_b + j (zero based).
 
-All equality checks use explicit absolute tolerances. The defaults below
-can be overridden per call.
+All equality checks use the explicit absolute tolerances below; only the
+Hermitian and unitary ones can be set per call.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ HERMITIAN_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10       # smallest admissible density eigenvalue
-RECONSTRUCTION_ATOL = 1e-10
 PROBABILITY_FLOOR = -1e-12      # entries above this are clamped to zero
 PROBABILITY_SUM_ATOL = 1e-10
 IMAG_ATOL = 1e-10               # residual imaginary part of real scalars
@@ -68,42 +67,33 @@ def validate_unitary(matrix, atol: float = UNITARY_ATOL) -> np.ndarray:
     return u
 
 
-def validate_density_matrix(
-    matrix,
-    hermitian_atol: float = HERMITIAN_ATOL,
-    trace_atol: float = TRACE_ATOL,
-    eigenvalue_floor: float = EIGENVALUE_FLOOR,
-) -> np.ndarray:
+def validate_density_matrix(matrix, hermitian_atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of a density matrix."""
     rho = validate_hermitian(matrix, atol=hermitian_atol)
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_atol:
-        raise ValidationError(f"density matrix trace is {tr!r}, expected 1 within {trace_atol:.1e}")
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise ValidationError(f"density matrix trace is {tr!r}, expected 1 within {TRACE_ATOL:.1e}")
     lo = float(np.linalg.eigvalsh(rho).min())
-    if lo < eigenvalue_floor:
+    if lo < EIGENVALUE_FLOOR:
         raise ValidationError(
-            f"density matrix has eigenvalue {lo:.3e} below the floor {eigenvalue_floor:.1e}"
+            f"density matrix has eigenvalue {lo:.3e} below the floor {EIGENVALUE_FLOOR:.1e}"
         )
     return rho
 
 
-def validate_probability_vector(
-    vector,
-    floor: float = PROBABILITY_FLOOR,
-    sum_atol: float = PROBABILITY_SUM_ATOL,
-) -> np.ndarray:
+def validate_probability_vector(vector) -> np.ndarray:
     """Return a cleaned copy: tiny negatives clamped to zero, sum checked against 1."""
     p = np.asarray(vector, dtype=float).copy()
     if p.ndim != 1:
         raise ValidationError(f"expected a 1d probability vector, got shape {p.shape}")
-    if p.min(initial=0.0) < floor:
+    if p.min(initial=0.0) < PROBABILITY_FLOOR:
         raise ValidationError(
-            f"probability entry {p.min():.3e} is below the clamping floor {floor:.1e}"
+            f"probability entry {p.min():.3e} is below the clamping floor {PROBABILITY_FLOOR:.1e}"
         )
     p[p < 0.0] = 0.0
     total = float(p.sum())
-    if abs(total - 1.0) > sum_atol:
-        raise ValidationError(f"probabilities sum to {total!r}, expected 1 within {sum_atol:.1e}")
+    if abs(total - 1.0) > PROBABILITY_SUM_ATOL:
+        raise ValidationError(f"probabilities sum to {total!r}, not 1 within {PROBABILITY_SUM_ATOL:.1e}")
     return p
 
 
@@ -213,13 +203,13 @@ def correlation_term(rho, split: BipartiteSplit) -> np.ndarray:
     return r - tensor_product(rho_a, rho_b)
 
 
-def average_energy(rho, hamiltonian, imag_atol: float = IMAG_ATOL) -> float:
+def average_energy(rho, hamiltonian) -> float:
     """Tr[H rho] as a real scalar, rejecting a large imaginary residue."""
     r = as_square_matrix(rho)
     h = as_square_matrix(hamiltonian)
     if r.shape != h.shape:
         raise ValidationError(f"shape mismatch: rho {r.shape} vs H {h.shape}")
     val = complex(np.trace(h @ r))
-    if abs(val.imag) > imag_atol * max(1.0, abs(val.real)):
+    if abs(val.imag) > IMAG_ATOL * max(1.0, abs(val.real)):
         raise ValidationError(f"Tr[H rho] has non-negligible imaginary part {val.imag:.3e}")
     return val.real

@@ -84,20 +84,20 @@ class PropagationResult:
     fidelity_to_target: float | None = None
 
 
-def _step_unitaries(h_of_t, times: np.ndarray, atol: float) -> np.ndarray:
+def _step_unitaries(h_of_t, times: np.ndarray) -> np.ndarray:
     """Spectral exponentials exp(-i H(t_mid) dt) for every step of a time grid."""
     h_stack = np.array([as_square_matrix(h_of_t(t)) for t in 0.5 * (times[:-1] + times[1:])])
     drift = float(np.abs(h_stack - np.conj(np.swapaxes(h_stack, -1, -2))).max())
-    if drift > atol:
+    if drift > HERMITIAN_ATOL:
         raise ValidationError(f"step generator departs from Hermitian by {drift:.3e}")
     w, v = np.linalg.eigh(h_stack)
     phases = np.exp(-1j * w * np.diff(times)[:, None])
     return np.einsum("nij,nj,nkj->nik", v, phases, v.conj())
 
 
-def evolve_unitary(h_of_t, grid: TimeGrid, hermitian_atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def evolve_unitary(h_of_t, grid: TimeGrid) -> np.ndarray:
     """Time-ordered propagator over the grid for a Hamiltonian callable h_of_t."""
-    steps = _step_unitaries(h_of_t, grid.times, hermitian_atol)
+    steps = _step_unitaries(h_of_t, grid.times)
     u = np.eye(steps.shape[1], dtype=complex)
     for s in steps:
         u = s @ u
@@ -122,7 +122,6 @@ def evolve_density(
     grid: TimeGrid,
     samples: int = TRAJECTORY_SAMPLES,
     target=None,
-    hermitian_atol: float = HERMITIAN_ATOL,
     h_measure=None,
 ) -> PropagationResult:
     """Propagate a density matrix, sampling the trajectory.
@@ -135,10 +134,10 @@ def evolve_density(
     drive measured against the lab Hamiltonian is the typical pairing;
     populations in the free eigenbasis agree between the frames).
     """
-    rho = validate_density_matrix(rho0, hermitian_atol=hermitian_atol)
+    rho = validate_density_matrix(rho0)
     meter = h_of_t if h_measure is None else h_measure
     times = grid.times
-    steps = _step_unitaries(h_of_t, times, hermitian_atol)
+    steps = _step_unitaries(h_of_t, times)
     n_steps = len(steps)
     picks = _sample_picks(n_steps, samples)
     sample_times = times[picks]
@@ -310,8 +309,13 @@ def simulate_schedule(
         knots = np.unique([0.0] + [seg.t_hi for seg in segments])
         if len(knots) < 2:
             knots = np.array([0.0, 1.0])
-        grid = TimeGrid.from_breakpoints(knots, steps_per_segment).times
-        result.times = grid[_sample_picks(len(grid) - 1, samples)]
+        # only the samples are computed: grid point i = q * s + j is linspace's j * ((b - a) / s) + a
+        s = int(steps_per_segment)
+        n_steps = s * (len(knots) - 1)
+        if n_steps > 2**53:  # grid indices are exact in float64 up to here
+            raise ValidationError(f"steps_per_segment {s} makes {n_steps} grid steps, over 2**53")
+        q, j = np.divmod(_sample_picks(n_steps, samples), s)
+        result.times = np.unique(j * np.append(np.diff(knots) / s, 0.0)[q] + knots[q])
         result.state_trajectory = []
         energies = []
         for t in result.times:
@@ -364,18 +368,12 @@ def schedule_hamiltonian(sched: PulseSchedule, dipoles=None):
     return h_of_t
 
 
-def verify_passive(
-    rho,
-    h_free,
-    commutator_atol: float = COMMUTATOR_ATOL,
-    population_atol: float = POPULATION_ATOL,
-    degeneracy_atol: float = DEGENERACY_ATOL,
-) -> tuple[bool, dict]:
+def verify_passive(rho, h_free) -> tuple[bool, dict]:
     """Check that a state is passive for the given free Hamiltonian.
 
     Passive means the state commutes with h_free and its populations are
     nonincreasing along nondecreasing energy. Levels within
-    degeneracy_atol of each other count as one block, inside which any
+    DEGENERACY_ATOL of each other count as one block, inside which any
     population order is acceptable.
 
     Returns (is_passive, diagnostics); diagnostics reports the commutator
@@ -394,14 +392,14 @@ def verify_passive(
     blocks = []
     start = 0
     for i in range(1, len(energies) + 1):
-        if i == len(energies) or energies[i] - energies[i - 1] > degeneracy_atol:
+        if i == len(energies) or energies[i] - energies[i - 1] > DEGENERACY_ATOL:
             blocks.append((start, i))
             start = i
     violation = None
     for (a0, a1), (b0, b1) in zip(blocks[:-1], blocks[1:]):
         lo_prev = float(pops[a0:a1].min())
         hi_next = float(pops[b0:b1].max())
-        if hi_next > lo_prev + population_atol:
+        if hi_next > lo_prev + POPULATION_ATOL:
             violation = {
                 "lower_block": (a0, a1 - 1),
                 "upper_block": (b0, b1 - 1),
@@ -410,10 +408,10 @@ def verify_passive(
             }
             break
 
-    ok = comm_norm <= commutator_atol and violation is None
+    ok = comm_norm <= COMMUTATOR_ATOL and violation is None
     diagnostics = {
         "commutator_norm": comm_norm,
-        "commutator_atol": commutator_atol,
+        "commutator_atol": COMMUTATOR_ATOL,
         "violation": violation,
         "populations": pops,
     }

@@ -47,7 +47,6 @@ from .operators import UNITARY_ATOL, as_square_matrix, validate_unitary
 # column entries at or below this magnitude are treated as already eliminated
 ELIMINATION_ATOL = 1e-13
 DIAGONAL_ATOL = 1e-10
-AREA_RTOL = 1e-9
 
 
 def _wrap_angle(angle: float) -> float:
@@ -166,11 +165,15 @@ class PulseSchedule:
 
     pulses: list[ScheduledPulse]
     residual_phases: np.ndarray
-    total_time: float = 0.0
 
     @property
     def dimension(self) -> int:
         return len(self.residual_phases)
+
+    @property
+    def total_time(self) -> float:
+        """Pulses back to back: the sum of the shape durations, 0.0 when none is shaped."""
+        return sum((sp.shape.duration for sp in self.pulses if sp.shape is not None), 0.0)
 
     def residual_matrix(self) -> np.ndarray:
         return np.diag(np.exp(1j * np.asarray(self.residual_phases)))
@@ -273,7 +276,7 @@ def givens_decompose(target, unitary_atol: float = UNITARY_ATOL) -> PulseSchedul
     residual = -np.angle(diagonal)
 
     pulses = [ScheduledPulse(pulse=adjoint_pulse(w)) for w in reversed(eliminations)]
-    return PulseSchedule(pulses=pulses, residual_phases=residual, total_time=0.0)
+    return PulseSchedule(pulses=pulses, residual_phases=residual)
 
 
 def shape_pulse(area_required: float, constraints: PulseConstraints) -> PulseShape:
@@ -352,7 +355,6 @@ def schedule(target, constraints, dipoles=None, unitary_atol: float = UNITARY_AT
     each ScheduledPulse records the D_k it was shaped for.
     """
     plan = givens_decompose(target, unitary_atol=unitary_atol)
-    total = 0.0
     shaped: list[ScheduledPulse] = []
     for sp in plan.pulses:
         k = sp.pulse.transition[0]
@@ -362,8 +364,7 @@ def schedule(target, constraints, dipoles=None, unitary_atol: float = UNITARY_AT
             raise ValidationError(f"no constraints provided for transition ({k}, {k + 1})")
         shape = shape_pulse(sp.pulse.area / d_k, limits)
         shaped.append(ScheduledPulse(pulse=sp.pulse, shape=shape, dipole=d_k))
-        total += shape.duration
-    return PulseSchedule(pulses=shaped, residual_phases=plan.residual_phases, total_time=total)
+    return PulseSchedule(pulses=shaped, residual_phases=plan.residual_phases)
 
 
 def _lookup(table, key: int, what: str):

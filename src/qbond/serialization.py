@@ -6,9 +6,9 @@ A complex matrix travels as
 
 with full double precision (row major). Every emitted JSON document
 re-parses to bit-identical values because floats are serialized through
-repr. Schemas are strict: unknown keys are rejected so that typos fail
-loudly instead of being ignored. A schedule pulse may carry a "dipole"
-key, the D_k its envelope was shaped for; it defaults to 1.0 when absent.
+repr. Schemas are strict: unknown keys fail loudly, and numbers must be finite
+ints or floats. A schedule pulse may carry its "dipole" D_k (default 1.0), and
+a schedule's "total_time" must match its summed pulse durations.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from itertools import chain, islice
 
 import numpy as np
 
@@ -24,6 +25,11 @@ from .errors import ValidationError
 from .pulse_synthesis import PulseSchedule, PulseShape, ScheduledPulse, TransitionPulse
 
 MATRIX_KEYS = {"dim", "re", "im"}
+ENVELOPE_POINTS_PER_SEGMENT = 50
+_DURATION_RTOL = 1e-9           # stored durations against the breakpoints they summarize
+_PLAIN_NUMBERS = {int, float}
+_FLOAT_MAX = float(np.finfo(float).max)
+_PULSE_FIELDS = ("area", "phase", "duration", "dipole", "transition", "transition", "breakpoints")
 
 
 def require_keys(obj: dict, required: set, optional: set = frozenset(), what: str = "object") -> None:
@@ -37,6 +43,38 @@ def require_keys(obj: dict, required: set, optional: set = frozenset(), what: st
         raise ValidationError(f"{what} is missing keys {sorted(missing)}")
     if unknown:
         raise ValidationError(f"{what} has unknown keys {sorted(unknown)}")
+
+
+def _numbers(values, what: str, fields) -> list[float]:
+    """The reader of every number in a document: finite ints and floats, not bool, as floats.
+
+    fields[i] names values[i] in the error; the last field also names the entries after it.
+    """
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"{what}: {fields[0]} must be a list of numbers, got {values!r}")
+    # one pass when all are plain numbers with a finite float sum, else entry by entry
+    try:
+        if _PLAIN_NUMBERS.issuperset(map(type, values)):
+            out = list(map(float, values))
+            if math.isfinite(sum(out)):
+                return out
+    except OverflowError:  # an integer beyond the float range
+        pass
+    for i, x in enumerate(values):
+        if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= _FLOAT_MAX:
+            field = fields[min(i, len(fields) - 1)]
+            raise ValidationError(f"{what}: {field}: non-finite or non-numeric value {x!r}")
+    return list(map(float, values))
+
+
+def _flat_rows(value, width: int, what: str, field: str):
+    """Entries of a list of width-long lists (breakpoint pairs, matrix rows), row after row."""
+    try:
+        if isinstance(value, (list, tuple)) and {width}.issuperset(map(len, value)):
+            return chain.from_iterable(value)
+    except TypeError:  # a row without a length
+        pass
+    raise ValidationError(f"{what}: {field} must be a list of lists of {width} numbers, got {value!r}")
 
 
 def matrix_to_json(matrix) -> dict:
@@ -53,10 +91,10 @@ def matrix_to_json(matrix) -> dict:
 def matrix_from_json(obj: dict, what: str = "matrix") -> np.ndarray:
     require_keys(obj, MATRIX_KEYS, what=what)
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValidationError(f"{what}: dim must be a positive integer, got {dim!r}")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    re = np.array(_numbers([*_flat_rows(obj["re"], dim, what, "re")], what, ("re",))).reshape(-1, dim)
+    im = np.array(_numbers([*_flat_rows(obj["im"], dim, what, "im")], what, ("im",))).reshape(-1, dim)
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValidationError(
             f"{what}: parts must be {dim}x{dim}, got re {re.shape} and im {im.shape}"
@@ -92,46 +130,49 @@ def schedule_to_json(sched: PulseSchedule) -> dict:
     return {
         "pulses": pulses,
         "residual_phases": [float(x) for x in sched.residual_phases],
-        "total_time": float(sched.total_time),
+        "total_time": sched.total_time,
     }
 
 
 def schedule_from_json(obj: dict) -> PulseSchedule:
     require_keys(obj, {"pulses", "residual_phases", "total_time"}, what="schedule")
+    if not isinstance(obj["pulses"], list):
+        raise ValidationError(f"schedule: pulses must be a list, got {obj['pulses']!r}")
     pulses = []
     for n, p in enumerate(obj["pulses"]):
+        what = f"pulse {n}"
         require_keys(
             p,
             {"transition", "area", "phase", "breakpoints", "duration"},
             optional={"dipole"},
-            what=f"pulse {n}",
+            what=what,
         )
-        pulse = TransitionPulse(
-            transition=tuple(int(x) for x in p["transition"]),
-            area=float(p["area"]),
-            phase=float(p["phase"]),
-        )
-        points = tuple((float(t), float(a)) for t, a in p["breakpoints"])
+        levels = p["transition"]
+        if not (isinstance(levels, (list, tuple)) and len(levels) == 2):
+            raise ValidationError(f"{what}: transition must be a pair [k, k + 1], got {levels!r}")
+        values = [p["area"], p["phase"], p["duration"], p.get("dipole", 1.0), *levels]
+        values += _flat_rows(p["breakpoints"], 2, what, "breakpoints")
+        nums = iter(_numbers(values, what, _PULSE_FIELDS))
+        area, phase, duration, dipole, k, k1 = islice(nums, 6)
+        if not (k.is_integer() and k1.is_integer()):
+            raise ValidationError(f"{what}: transition must be two integer levels, got {levels!r}")
+        pulse = TransitionPulse(transition=(int(k), int(k1)), area=area, phase=phase)
+        points = tuple(zip(nums, nums))
         if points:
-            duration = float(p["duration"])
-            if abs(points[-1][0] - duration) > 1e-9 * max(1.0, duration):
-                raise ValidationError(
-                    f"pulse {n}: duration {duration} disagrees with final breakpoint {points[-1][0]}"
-                )
+            if abs(points[-1][0] - duration) > _DURATION_RTOL * max(1.0, duration):
+                raise ValidationError(f"{what}: duration {duration} is not the last breakpoint {points[-1][0]}")
             base = points[0][1]
             realized = _piecewise_area(points, base)
             shape = PulseShape(breakpoints=points, duration=duration, realized_area=realized)
         else:
             shape = None
-        dipole = p.get("dipole", 1.0)
-        if isinstance(dipole, bool) or not isinstance(dipole, (int, float)):
-            raise ValidationError(f"pulse {n}: dipole must be a number, got {dipole!r}")
-        pulses.append(ScheduledPulse(pulse=pulse, shape=shape, dipole=float(dipole)))
-    return PulseSchedule(
-        pulses=pulses,
-        residual_phases=np.asarray(obj["residual_phases"], dtype=float),
-        total_time=float(obj["total_time"]),
-    )
+        pulses.append(ScheduledPulse(pulse=pulse, shape=shape, dipole=dipole))
+    residual = np.array(_numbers(obj["residual_phases"], "schedule", ("residual_phases",)))
+    sched = PulseSchedule(pulses=pulses, residual_phases=residual)
+    stored, summed = _numbers([obj["total_time"]], "schedule", ("total_time",))[0], sched.total_time
+    if abs(stored - summed) > _DURATION_RTOL * max(1.0, summed):
+        raise ValidationError(f"schedule: total_time {stored} differs from the summed durations {summed}")
+    return sched
 
 
 def _piecewise_area(points, baseline: float) -> float:
@@ -154,7 +195,7 @@ def well_levels_csv(rows) -> str:
     return buf.getvalue()
 
 
-def envelope_csv(sched: PulseSchedule, points_per_segment: int = 50) -> str:
+def envelope_csv(sched: PulseSchedule) -> str:
     """Envelope samples (time, amplitude, transition) on the schedule timeline."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -169,7 +210,7 @@ def envelope_csv(sched: PulseSchedule, points_per_segment: int = 50) -> str:
         for a, b in zip(knots[:-1], knots[1:]):
             if b <= a:
                 continue
-            for t in np.linspace(a, b, points_per_segment, endpoint=False):
+            for t in np.linspace(a, b, ENVELOPE_POINTS_PER_SEGMENT, endpoint=False):
                 writer.writerow([repr(offset + float(t)), repr(shape.amplitude_at(float(t))), label])
         writer.writerow([repr(offset + shape.duration), repr(shape.amplitude_at(shape.duration)), label])
         offset += shape.duration

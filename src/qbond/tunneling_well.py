@@ -35,6 +35,7 @@ from .operators import validate_probability_vector
 GRID_POINTS = 10_000
 ENERGY_RTOL = 1e-12
 QUADRATURE_RTOL = 1e-10
+MAX_DOUBLINGS = 26              # Simpson interval doublings before giving up
 POPULATION_ATOL = 1e-12
 
 KIND_BOUND = "bound"
@@ -103,19 +104,15 @@ def _tangent_branch(geometry: WellGeometry, k: float) -> int:
     return int(math.floor(k * geometry.well_width / math.pi + 0.5))
 
 
-def bound_state_energies(
-    geometry: WellGeometry,
-    grid_points: int = GRID_POINTS,
-    rtol: float = ENERGY_RTOL,
-) -> np.ndarray:
+def bound_state_energies(geometry: WellGeometry) -> np.ndarray:
     """All solutions of the level condition in (0, barrier_height), ascending (J).
 
-    Scans grid_points wave numbers, brackets sign changes that do not
+    Scans GRID_POINTS wave numbers, brackets sign changes that do not
     straddle a tangent pole, and bisects each bracket until the energy is
-    converged to the relative tolerance.
+    converged to ENERGY_RTOL in relative terms.
     """
     k_max = math.sqrt(2.0 * geometry.mass * geometry.barrier_height) / HBAR_JS
-    ks = np.linspace(k_max * 1e-9, k_max * (1.0 - 1e-12), grid_points)
+    ks = np.linspace(k_max * 1e-9, k_max * (1.0 - 1e-12), GRID_POINTS)
     roots = []
     prev_k = ks[0]
     prev_f = _match_residue(geometry, prev_k)
@@ -127,7 +124,7 @@ def bound_state_energies(
             lo, f_lo = prev_k, prev_f
             hi = k
             # bisect in k; energy scales as k^2 so halve the k tolerance
-            while (hi - lo) > 0.5 * rtol * (lo + hi) / 2.0:
+            while (hi - lo) > 0.5 * ENERGY_RTOL * (lo + hi) / 2.0:
                 mid = 0.5 * (lo + hi)
                 f_mid = _match_residue(geometry, mid)
                 if f_mid == 0.0:
@@ -182,20 +179,13 @@ def wkb_transmission(geometry: WellGeometry, energy: float) -> float:
     return min(1.0, math.exp(-exponent))
 
 
-def barrier_action_quadrature(
-    potential,
-    x_lo: float,
-    x_hi: float,
-    energy: float,
-    mass: float,
-    rtol: float = QUADRATURE_RTOL,
-    max_doublings: int = 26,
-) -> float:
+def barrier_action_quadrature(potential, x_lo: float, x_hi: float, energy: float, mass: float) -> float:
     """Integral of sqrt(2 m (V(x) - E)) over [x_lo, x_hi] by composite Simpson.
 
-    The interval count doubles until the result changes by less than rtol
-    in relative terms. Regions where V < E contribute zero, so piecewise
-    barriers with classically allowed gaps integrate correctly.
+    The interval count doubles until the result changes by less than
+    QUADRATURE_RTOL in relative terms. Regions where V < E contribute
+    zero, so piecewise barriers with classically allowed gaps integrate
+    correctly.
     """
     if x_hi <= x_lo:
         raise ValidationError(f"need x_lo < x_hi, got {x_lo}, {x_hi}")
@@ -205,21 +195,19 @@ def barrier_action_quadrature(
 
     previous = None
     n = 8
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         xs = np.linspace(x_lo, x_hi, n + 1)
         ys = integrand(xs)
         h = (x_hi - x_lo) / n
         total = (h / 3.0) * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
-        if previous is not None and abs(total - previous) <= rtol * max(abs(total), 1e-300):
+        if previous is not None and abs(total - previous) <= QUADRATURE_RTOL * max(abs(total), 1e-300):
             return float(total)
         previous = total
         n *= 2
-    raise NumericalError(f"Simpson quadrature did not reach rtol={rtol} within {max_doublings} doublings")
+    raise NumericalError(f"Simpson quadrature missed rtol={QUADRATURE_RTOL} in {MAX_DOUBLINGS} doublings")
 
 
-def wkb_transmission_quadrature(
-    geometry: WellGeometry, energy: float, rtol: float = QUADRATURE_RTOL
-) -> float:
+def wkb_transmission_quadrature(geometry: WellGeometry, energy: float) -> float:
     """Quadrature route to the same transmission; serves as an independent check."""
     _require_below_barrier(geometry, energy)
     action = barrier_action_quadrature(
@@ -228,7 +216,6 @@ def wkb_transmission_quadrature(
         geometry.barrier_end,
         energy,
         geometry.mass,
-        rtol=rtol,
     )
     return min(1.0, math.exp(-2.0 * action / HBAR_JS))
 

@@ -234,3 +234,83 @@ def test_tol_flag_loosens_validation(tmp_path):
     f.write_text(json.dumps(problem))
     assert main(["binding", "--in", str(f), "--out", str(tmp_path / "a")]) == 2
     assert main(["binding", "--in", str(f), "--out", str(tmp_path / "b"), "--tol", "1e-6"]) == 0
+
+
+def _edited(name, edit):
+    with open(os.path.join(PROBLEMS, name)) as fh:
+        problem = json.load(fh)
+    edit(problem["payload"])
+    return problem
+
+
+def _set_pulse(key, value):
+    def edit(payload):
+        payload["schedule"]["pulses"][0][key] = value
+    return edit
+
+
+def _drop_target_nan_phase(payload):
+    del payload["target"]
+    payload["schedule"]["pulses"][0]["phase"] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "name, edit, field",
+    [
+        pytest.param("simulate_half_swap.json", _set_pulse("area", "abc"), "area", id="area-string"),
+        pytest.param("simulate_half_swap.json", _set_pulse("phase", None), "phase", id="phase-null"),
+        pytest.param("simulate_half_swap.json", _drop_target_nan_phase, "phase", id="phase-nan"),
+        pytest.param(
+            "binding_singlet.json",
+            lambda p: p["h_int"]["re"][0].__setitem__(0, "x"),
+            "h_int",
+            id="matrix-entry-string",
+        ),
+        pytest.param(
+            "synth_two_pair_swap.json",
+            lambda p: p["constraints"].update(amplitude_max="big"),
+            "amplitude_max",
+            id="constraint-string",
+        ),
+        pytest.param(
+            "synth_two_pair_swap.json",
+            lambda p: p.update(dipoles={"x": 1.0}),
+            "dipoles",
+            id="dipoles-key",
+        ),
+        pytest.param(
+            "simulate_half_swap.json",
+            lambda p: p["schedule"].update(total_time=99.0),
+            "total_time",
+            id="total-time-off-the-durations",
+        ),
+    ],
+)
+def test_bad_number_in_problem_file_exits_2_naming_the_field(tmp_path, capsys, name, edit, field):
+    problem = _edited(name, edit)
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(problem))
+    outdir = tmp_path / "out"
+    assert main([problem["mode"], "--in", str(f), "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, name",
+    [("jc", "jc_detuned.json"), ("well", "well_standard.json"), ("simulate", "simulate_half_swap.json")],
+)
+def test_tol_flag_is_refused_where_nothing_reads_it(tmp_path, mode, name):
+    problem = os.path.join(PROBLEMS, name)
+    with pytest.raises(SystemExit) as exc:
+        main([mode, "--in", problem, "--out", str(tmp_path), "--tol", "1e-3"])
+    assert exc.value.code == 2
+
+
+def test_qbond_tol_environment_variable_is_ignored(tmp_path, monkeypatch):
+    monkeypatch.setenv("QBOND_TOL", "abc")
+    problem = os.path.join(PROBLEMS, "well_standard.json")
+    assert main(["well", "--in", problem, "--out", str(tmp_path)]) == 0
+

@@ -415,3 +415,19 @@ def test_verify_passive_degenerate_block_any_order():
     # but a block member below a higher-energy population is one
     ok, _ = verify_passive(np.diag([0.4, 0.1, 0.3, 0.2]), h)
     assert not ok
+
+
+def test_trajectory_samples_without_building_the_step_grid():
+    # 10**15 steps per segment: the grid alone would not fit in a 47-bit
+    # address space, but only the sampled points are ever computed
+    path = os.path.join(os.path.dirname(__file__), "..", "problems", "simulate_half_swap.json")
+    with open(path) as fh:
+        sched = schedule_from_json(json.load(fh)["payload"]["schedule"])
+    rho0 = np.diag([1.0, 0.0])
+    result = simulate_schedule(sched, rho0=rho0, steps_per_segment=10**15)
+    assert 2 <= len(result.times) <= 201
+    assert np.all(np.diff(result.times) > 0)
+    assert result.times[0] == 0.0 and result.times[-1] == sched.total_time
+    assert len(result.state_trajectory) == len(result.times)
+    with pytest.raises(ValidationError, match="steps_per_segment"):
+        simulate_schedule(sched, rho0=rho0, steps_per_segment=2**60)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -316,3 +317,15 @@ def test_schedule_per_transition_tables():
         assert abs(sp.shape.realized_area - envelope_area) <= 1e-9 * envelope_area
         amps = [a for _, a in sp.shape.breakpoints]
         assert max(amps) <= constraints[k].amplitude_max + 1e-12
+
+
+def test_total_time_is_derived_from_the_shapes():
+    rng = np.random.default_rng(23)
+    u = random_unitary(rng, 5)
+    assert givens_decompose(u).total_time == 0.0
+    sched = schedule(u, SYM, dipoles=0.8)
+    total = 0.0
+    for sp in sched.pulses:
+        total += sp.shape.duration
+    assert sched.total_time == total
+    assert "total_time" not in {f.name for f in dataclasses.fields(sched)}

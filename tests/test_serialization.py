@@ -135,6 +135,15 @@ def test_schedule_from_json_rejects_inconsistent_duration():
         schedule_from_json(doc)
 
 
+def test_schedule_from_json_rejects_total_time_off_the_durations():
+    sched = schedule(random_unitary(np.random.default_rng(29), 3), PulseConstraints(amplitude_max=1.0))
+    doc = json.loads(json.dumps(schedule_to_json(sched)))
+    assert schedule_from_json(doc).total_time == sched.total_time
+    doc["total_time"] = sched.total_time * (1.0 + 1e-6)
+    with pytest.raises(ValidationError, match="total_time"):
+        schedule_from_json(doc)
+
+
 def test_well_levels_csv_layout():
     rows = [
         {"n": 1, "E_eV": 4.5, "kind": "bound", "P": None, "tau_s": None},
