@@ -3,13 +3,14 @@
 One binary, five subcommands (binding, jc, well, synth, simulate), all
 sharing the same calling shape:
 
-    qbond <mode> --in problem.json --out outdir [--tol X] [--format json|csv]
+    qbond <mode> --in problem.json --out outdir [--format json|csv]
 
+plus `--tol X` (a finite Hermiticity tolerance above zero) on binding only.
 The problem file is {"mode": <mode>, "payload": {...}}; the mode in the
-file must match the subcommand, its numbers must be finite, and only binding
-and synth take --tol. Outputs are deterministic files with fixed names. Exit
-codes: 0 on success, 2 on validation errors (bad schema, unphysical input),
-3 on numerical failure (non-convergence).
+file must match the subcommand and its numbers must be finite. Outputs are
+deterministic files with fixed names. Exit codes: 0 on success, 2 on
+validation errors (bad schema, unphysical input), 3 on numerical failure
+(non-convergence).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import serialization as ser
 from . import tunneling_well as well_mod
 from .constants import ANGSTROM_M, ELECTRON_MASS_KG, ELECTRON_VOLT_J, NANOMETER_M, joule_to_ev
 from .errors import NumericalError, ValidationError
-from .operators import HERMITIAN_ATOL, UNITARY_ATOL, hermitian_eigendecomposition
+from .operators import HERMITIAN_ATOL, hermitian_eigendecomposition
 
 LENGTH_UNITS = {"m": 1.0, "nm": NANOMETER_M, "angstrom": ANGSTROM_M}
 ENERGY_UNITS = {"J": 1.0, "eV": ELECTRON_VOLT_J}
@@ -42,7 +43,7 @@ def _quantity(obj, units: dict, what: str) -> float:
     unit = obj["unit"]
     if unit not in units:
         raise ValidationError(f"{what}: unknown unit {unit!r}, expected one of {sorted(units)}")
-    return ser._numbers([obj["value"]], what, ("value",))[0] * units[unit]
+    return ser._number(obj["value"], what, "value") * units[unit]
 
 
 def _load_problem(path: str, mode: str) -> dict:
@@ -95,8 +96,9 @@ def run_jc(payload: dict, args) -> list[str]:
         optional={"path_length", "velocity"},
         what="jc payload",
     )
-    fields = ("omega_a", "omega_b", "g")
-    params = jc_mod.JCParams(*ser._numbers([payload[k] for k in fields], "jc payload", fields))
+    params = jc_mod.JCParams(
+        **{k: ser._number(payload[k], "jc payload", k) for k in ("omega_a", "omega_b", "g")}
+    )
     basis = jc_mod.dressed_states(params)
     report = jc_mod.jc_binding_energy(params, str(payload["initial"]))
     doc = {
@@ -113,9 +115,11 @@ def run_jc(payload: dict, args) -> list[str]:
     if ("path_length" in payload) != ("velocity" in payload):
         raise ValidationError("path_length and velocity must be given together")
     if "path_length" in payload:
-        fields = ("path_length", "velocity")
-        path_length, velocity = ser._numbers([payload[k] for k in fields], "jc payload", fields)
-        flight = jc_mod.flight_phase(params, path_length, velocity)
+        flight = jc_mod.flight_phase(
+            params,
+            ser._number(payload["path_length"], "jc payload", "path_length"),
+            ser._number(payload["velocity"], "jc payload", "velocity"),
+        )
         doc["flight"] = {
             "flight_time": flight.flight_time,
             "accumulated_angle": flight.accumulated_angle,
@@ -194,16 +198,15 @@ def _constraints_from_payload(obj) -> synth_mod.PulseConstraints:
         what="constraints",
     )
     # an absent field keeps the PulseConstraints default
-    values = ser._numbers(list(obj.values()), "constraints", list(obj))
-    return synth_mod.PulseConstraints(**dict(zip(obj, values)))
+    return synth_mod.PulseConstraints(**{k: ser._number(v, "constraints", k) for k, v in obj.items()})
 
 
 def _dipoles_from_payload(obj):
     if not isinstance(obj, dict):
-        return None if obj is None else ser._numbers([obj], "payload", ("dipoles",))[0]
+        return None if obj is None else ser._number(obj, "payload", "dipoles")
     if not all(str(k).isdecimal() for k in obj):
         raise ValidationError(f"payload: dipoles keys must be integer levels, got {list(obj)!r}")
-    return dict(zip(map(int, obj), ser._numbers(list(obj.values()), "payload", ("dipoles",))))
+    return {int(k): ser._number(v, "payload", "dipoles") for k, v in obj.items()}
 
 
 def run_synth(payload: dict, args) -> list[str]:
@@ -211,7 +214,7 @@ def run_synth(payload: dict, args) -> list[str]:
     target = ser.matrix_from_json(payload["target"], what="target")
     constraints = _constraints_from_payload(payload["constraints"])
     dipoles = _dipoles_from_payload(payload.get("dipoles"))
-    sched = synth_mod.schedule(target, constraints, dipoles=dipoles, unitary_atol=args.tol)
+    sched = synth_mod.schedule(target, constraints, dipoles=dipoles)
     return [
         _write(args.out, "schedule.json", ser.schedule_to_json(sched)),
         _write(args.out, "envelope.csv", ser.envelope_csv(sched)),
@@ -254,6 +257,13 @@ def run_simulate(payload: dict, args) -> list[str]:
     return written
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above zero, got {text!r}")
+    return value
+
+
 RUNNERS = {
     "binding": run_binding,
     "jc": run_jc,
@@ -279,9 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(mode, help=helptext)
         p.add_argument("--in", dest="infile", required=True, help="problem JSON file")
         p.add_argument("--out", dest="out", default=".", help="output directory")
-        if mode in ("binding", "synth"):
-            tol = HERMITIAN_ATOL if mode == "binding" else UNITARY_ATOL
-            p.add_argument("--tol", type=float, default=tol, help="validation tolerance override")
+        if mode == "binding":
+            p.add_argument("--tol", type=_tolerance, default=HERMITIAN_ATOL, help="Hermiticity tolerance")
         p.add_argument("--format", choices=("json", "csv"), default="json", help="output flavor")
     return parser
 

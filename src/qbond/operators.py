@@ -55,14 +55,14 @@ def validate_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     return m
 
 
-def validate_unitary(matrix, atol: float = UNITARY_ATOL) -> np.ndarray:
-    """Return the matrix if unitary within atol (max-norm of U U^dag - I)."""
+def validate_unitary(matrix) -> np.ndarray:
+    """Return the matrix if unitary within UNITARY_ATOL (max-norm of U U^dag - I)."""
     u = as_square_matrix(matrix)
     resid = u @ u.conj().T - np.eye(u.shape[0])
     worst = float(np.abs(resid).max()) if u.size else 0.0
-    if worst > atol:
+    if worst > UNITARY_ATOL:
         raise ValidationError(
-            f"matrix is not unitary: max |U U^dag - I| = {worst:.3e}, tolerance {atol:.1e}"
+            f"matrix is not unitary: max |U U^dag - I| = {worst:.3e}, tolerance {UNITARY_ATOL:.1e}"
         )
     return u
 

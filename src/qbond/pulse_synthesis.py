@@ -42,7 +42,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .operators import UNITARY_ATOL, as_square_matrix, validate_unitary
+from .operators import as_square_matrix, validate_unitary
 
 # column entries at or below this magnitude are treated as already eliminated
 ELIMINATION_ATOL = 1e-13
@@ -172,8 +172,12 @@ class PulseSchedule:
 
     @property
     def total_time(self) -> float:
-        """Pulses back to back: the sum of the shape durations, 0.0 when none is shaped."""
-        return sum((sp.shape.duration for sp in self.pulses if sp.shape is not None), 0.0)
+        """Pulses back to back: the shape durations added in order, 0.0 when none is shaped."""
+        total = 0.0
+        for sp in self.pulses:
+            if sp.shape is not None:
+                total += sp.shape.duration
+        return total
 
     def residual_matrix(self) -> np.ndarray:
         return np.diag(np.exp(1j * np.asarray(self.residual_phases)))
@@ -244,7 +248,7 @@ def _descend_angles(column: np.ndarray, k: int) -> tuple[float, float]:
     return area, phase
 
 
-def givens_decompose(target, unitary_atol: float = UNITARY_ATOL) -> PulseSchedule:
+def givens_decompose(target) -> PulseSchedule:
     """Exact pulse-train decomposition of a target unitary.
 
     Returns a PulseSchedule with areas and phases only (shapes unset).
@@ -252,7 +256,7 @@ def givens_decompose(target, unitary_atol: float = UNITARY_ATOL) -> PulseSchedul
     the trailing diagonal is reported through residual_phases. Pulse
     count is at most d (d - 1) / 2; each one rotates two rows in place.
     """
-    u = validate_unitary(as_square_matrix(target), atol=unitary_atol)
+    u = validate_unitary(as_square_matrix(target))
     d = u.shape[0]
     work = u.astype(complex).copy()
     eliminations: list[TransitionPulse] = []
@@ -339,7 +343,7 @@ def trapezoid_duration(area: float, cap: float, slew: float) -> float:
     return cap / slew + area / cap
 
 
-def schedule(target, constraints, dipoles=None, unitary_atol: float = UNITARY_ATOL) -> PulseSchedule:
+def schedule(target, constraints, dipoles=None) -> PulseSchedule:
     """Full synthesis: decompose the target, then shape every pulse.
 
     Parameters
@@ -354,7 +358,7 @@ def schedule(target, constraints, dipoles=None, unitary_atol: float = UNITARY_AT
     The envelope of pulse m must integrate to C_m / D_k above baseline;
     each ScheduledPulse records the D_k it was shaped for.
     """
-    plan = givens_decompose(target, unitary_atol=unitary_atol)
+    plan = givens_decompose(target)
     shaped: list[ScheduledPulse] = []
     for sp in plan.pulses:
         k = sp.pulse.transition[0]

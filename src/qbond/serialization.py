@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -27,9 +27,8 @@ from .pulse_synthesis import PulseSchedule, PulseShape, ScheduledPulse, Transiti
 MATRIX_KEYS = {"dim", "re", "im"}
 ENVELOPE_POINTS_PER_SEGMENT = 50
 _DURATION_RTOL = 1e-9           # stored durations against the breakpoints they summarize
-_PLAIN_NUMBERS = {int, float}
+_NUMBER_TYPES = {int, float}       # not bool, whose type is its own
 _FLOAT_MAX = float(np.finfo(float).max)
-_PULSE_FIELDS = ("area", "phase", "duration", "dipole", "transition", "transition", "breakpoints")
 
 
 def require_keys(obj: dict, required: set, optional: set = frozenset(), what: str = "object") -> None:
@@ -45,36 +44,27 @@ def require_keys(obj: dict, required: set, optional: set = frozenset(), what: st
         raise ValidationError(f"{what} has unknown keys {sorted(unknown)}")
 
 
-def _numbers(values, what: str, fields) -> list[float]:
-    """The reader of every number in a document: finite ints and floats, not bool, as floats.
+def _number(value, what: str, field: str) -> float:
+    """The reader of every number in a document: a finite int or float, not bool, as a float."""
+    if type(value) not in _NUMBER_TYPES or not abs(value) <= _FLOAT_MAX:
+        raise ValidationError(f"{what}: {field}: non-finite or non-numeric value {value!r}")
+    return float(value)
 
-    fields[i] names values[i] in the error; the last field also names the entries after it.
-    """
+
+def _numbers(values, what: str, field: str) -> list[float]:
+    """_number over each entry of a list."""
     if not isinstance(values, (list, tuple)):
-        raise ValidationError(f"{what}: {fields[0]} must be a list of numbers, got {values!r}")
-    # one pass when all are plain numbers with a finite float sum, else entry by entry
-    try:
-        if _PLAIN_NUMBERS.issuperset(map(type, values)):
-            out = list(map(float, values))
-            if math.isfinite(sum(out)):
-                return out
-    except OverflowError:  # an integer beyond the float range
-        pass
-    for i, x in enumerate(values):
-        if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= _FLOAT_MAX:
-            field = fields[min(i, len(fields) - 1)]
-            raise ValidationError(f"{what}: {field}: non-finite or non-numeric value {x!r}")
-    return list(map(float, values))
+        raise ValidationError(f"{what}: {field} must be a list of numbers, got {values!r}")
+    return [_number(x, what, field) for x in values]
 
 
-def _flat_rows(value, width: int, what: str, field: str):
+def _flat_rows(rows, width: int, what: str, field: str) -> list:
     """Entries of a list of width-long lists (breakpoint pairs, matrix rows), row after row."""
-    try:
-        if isinstance(value, (list, tuple)) and {width}.issuperset(map(len, value)):
-            return chain.from_iterable(value)
-    except TypeError:  # a row without a length
-        pass
-    raise ValidationError(f"{what}: {field} must be a list of lists of {width} numbers, got {value!r}")
+    if isinstance(rows, (list, tuple)) and all(
+        isinstance(row, (list, tuple)) and len(row) == width for row in rows
+    ):
+        return list(chain.from_iterable(rows))
+    raise ValidationError(f"{what}: {field} must be a list of lists of {width} numbers, got {rows!r}")
 
 
 def matrix_to_json(matrix) -> dict:
@@ -93,8 +83,8 @@ def matrix_from_json(obj: dict, what: str = "matrix") -> np.ndarray:
     dim = obj["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValidationError(f"{what}: dim must be a positive integer, got {dim!r}")
-    re = np.array(_numbers([*_flat_rows(obj["re"], dim, what, "re")], what, ("re",))).reshape(-1, dim)
-    im = np.array(_numbers([*_flat_rows(obj["im"], dim, what, "im")], what, ("im",))).reshape(-1, dim)
+    re = np.array(_numbers(_flat_rows(obj["re"], dim, what, "re"), what, "re")).reshape(-1, dim)
+    im = np.array(_numbers(_flat_rows(obj["im"], dim, what, "im"), what, "im")).reshape(-1, dim)
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValidationError(
             f"{what}: parts must be {dim}x{dim}, got re {re.shape} and im {im.shape}"
@@ -147,17 +137,16 @@ def schedule_from_json(obj: dict) -> PulseSchedule:
             optional={"dipole"},
             what=what,
         )
-        levels = p["transition"]
-        if not (isinstance(levels, (list, tuple)) and len(levels) == 2):
-            raise ValidationError(f"{what}: transition must be a pair [k, k + 1], got {levels!r}")
-        values = [p["area"], p["phase"], p["duration"], p.get("dipole", 1.0), *levels]
-        values += _flat_rows(p["breakpoints"], 2, what, "breakpoints")
-        nums = iter(_numbers(values, what, _PULSE_FIELDS))
-        area, phase, duration, dipole, k, k1 = islice(nums, 6)
-        if not (k.is_integer() and k1.is_integer()):
-            raise ValidationError(f"{what}: transition must be two integer levels, got {levels!r}")
-        pulse = TransitionPulse(transition=(int(k), int(k1)), area=area, phase=phase)
-        points = tuple(zip(nums, nums))
+        area = _number(p["area"], what, "area")
+        phase = _number(p["phase"], what, "phase")
+        duration = _number(p["duration"], what, "duration")
+        dipole = _number(p.get("dipole", 1.0), what, "dipole")
+        levels = _numbers(p["transition"], what, "transition")
+        if len(levels) != 2 or not all(x.is_integer() for x in levels):
+            raise ValidationError(f"{what}: transition must be two integer levels, got {p['transition']!r}")
+        pulse = TransitionPulse(transition=(int(levels[0]), int(levels[1])), area=area, phase=phase)
+        flat = _numbers(_flat_rows(p["breakpoints"], 2, what, "breakpoints"), what, "breakpoints")
+        points = tuple(zip(flat[0::2], flat[1::2]))
         if points:
             if abs(points[-1][0] - duration) > _DURATION_RTOL * max(1.0, duration):
                 raise ValidationError(f"{what}: duration {duration} is not the last breakpoint {points[-1][0]}")
@@ -167,9 +156,9 @@ def schedule_from_json(obj: dict) -> PulseSchedule:
         else:
             shape = None
         pulses.append(ScheduledPulse(pulse=pulse, shape=shape, dipole=dipole))
-    residual = np.array(_numbers(obj["residual_phases"], "schedule", ("residual_phases",)))
+    residual = np.array(_numbers(obj["residual_phases"], "schedule", "residual_phases"))
     sched = PulseSchedule(pulses=pulses, residual_phases=residual)
-    stored, summed = _numbers([obj["total_time"]], "schedule", ("total_time",))[0], sched.total_time
+    stored, summed = _number(obj["total_time"], "schedule", "total_time"), sched.total_time
     if abs(stored - summed) > _DURATION_RTOL * max(1.0, summed):
         raise ValidationError(f"schedule: total_time {stored} differs from the summed durations {summed}")
     return sched

@@ -300,13 +300,28 @@ def test_bad_number_in_problem_file_exits_2_naming_the_field(tmp_path, capsys, n
 
 @pytest.mark.parametrize(
     "mode, name",
-    [("jc", "jc_detuned.json"), ("well", "well_standard.json"), ("simulate", "simulate_half_swap.json")],
+    [
+        ("jc", "jc_detuned.json"),
+        ("well", "well_standard.json"),
+        ("synth", "synth_two_pair_swap.json"),
+        ("simulate", "simulate_half_swap.json"),
+    ],
 )
 def test_tol_flag_is_refused_where_nothing_reads_it(tmp_path, mode, name):
     problem = os.path.join(PROBLEMS, name)
     with pytest.raises(SystemExit) as exc:
         main([mode, "--in", problem, "--out", str(tmp_path), "--tol", "1e-3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6", "abc"])
+def test_binding_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
+    problem = os.path.join(PROBLEMS, "binding_singlet.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["binding", "--in", problem, "--out", str(tmp_path / "out"), f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_qbond_tol_environment_variable_is_ignored(tmp_path, monkeypatch):
