@@ -25,7 +25,6 @@ from .errors import ValidationError
 from .pulse_synthesis import PulseSchedule, PulseShape, ScheduledPulse, TransitionPulse
 
 MATRIX_KEYS = {"dim", "re", "im"}
-ENVELOPE_POINTS_PER_SEGMENT = 50
 _DURATION_RTOL = 1e-9           # stored durations against the breakpoints they summarize
 _NUMBER_TYPES = {int, float}       # not bool, whose type is its own
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -185,7 +184,11 @@ def well_levels_csv(rows) -> str:
 
 
 def envelope_csv(sched: PulseSchedule) -> str:
-    """Envelope samples (time, amplitude, transition) on the schedule timeline."""
+    """Envelope breakpoints (time, amplitude, transition) on the schedule timeline.
+
+    Envelopes are piecewise linear, so one row per breakpoint describes
+    them exactly; each pulse's times are offset by the durations before it.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["time", "amplitude", "transition"])
@@ -195,13 +198,8 @@ def envelope_csv(sched: PulseSchedule) -> str:
         if shape is None or not shape.breakpoints:
             continue
         label = "{}-{}".format(*sp.pulse.transition)
-        knots = [b[0] for b in shape.breakpoints]
-        for a, b in zip(knots[:-1], knots[1:]):
-            if b <= a:
-                continue
-            for t in np.linspace(a, b, ENVELOPE_POINTS_PER_SEGMENT, endpoint=False):
-                writer.writerow([repr(offset + float(t)), repr(shape.amplitude_at(float(t))), label])
-        writer.writerow([repr(offset + shape.duration), repr(shape.amplitude_at(shape.duration)), label])
+        for t, amp in shape.breakpoints:
+            writer.writerow([repr(float(offset + t)), repr(float(amp)), label])
         offset += shape.duration
     return buf.getvalue()
 

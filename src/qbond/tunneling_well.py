@@ -12,10 +12,13 @@ Bound levels solve
 
     tan(sqrt(2 m E) a / hbar) = -sqrt(E / (V0 - E)),   0 < E < V0,
 
-with V0 the barrier height. The solver scans a uniform grid in the wave
-number k = sqrt(2 m E) / hbar, keeps sign changes that stay on a single
-tangent branch (the tangent poles are not roots) and refines each
-bracket by bisection.
+with V0 the barrier height. In the wave number k = sqrt(2 m E) / hbar
+the residue tan(k a) + k / sqrt(k_max^2 - k^2), with k_max the wave
+number at V0, rises strictly from -inf on every tangent branch
+k a in ((n - 1/2) pi, (n + 1/2) pi). Branch 0 is positive throughout,
+so branch n >= 1 below k_max holds exactly one level and there are
+floor(k_max a / pi + 1/2) of them. The solver bisects all branch
+brackets at once.
 
 All energies and lengths are SI internally; electronvolt conversion
 happens at the interface layer.
@@ -32,11 +35,11 @@ from .constants import ELECTRON_MASS_KG, HBAR_JS
 from .errors import NumericalError, ValidationError
 from .operators import validate_probability_vector
 
-GRID_POINTS = 10_000
 ENERGY_RTOL = 1e-12
 QUADRATURE_RTOL = 1e-10
 MAX_DOUBLINGS = 26              # Simpson interval doublings before giving up
 POPULATION_ATOL = 1e-12
+MAX_LEVELS = 100_000           # one bisection bracket per level is held in memory
 
 KIND_BOUND = "bound"
 KIND_TUNNELING = "tunneling"
@@ -60,6 +63,9 @@ class WellGeometry:
     mass: float = ELECTRON_MASS_KG
 
     def __post_init__(self):
+        fields = (self.well_width, self.barrier_end, self.barrier_height, self.plateau_height, self.mass)
+        if not all(math.isfinite(x) for x in fields):
+            raise ValidationError(f"well geometry must be finite, got {fields}")
         if not (0 < self.well_width < self.barrier_end):
             raise ValidationError(
                 f"need 0 < well_width < barrier_end, got {self.well_width}, {self.barrier_end}"
@@ -93,51 +99,39 @@ class TunnelingEstimate:
     tunneling_time: float    # seconds, crossing_time / probability
 
 
-def _match_residue(geometry: WellGeometry, k: float) -> float:
-    """tan(k a) + sqrt(E / (V0 - E)) evaluated at wave number k; roots are levels."""
-    e = (HBAR_JS * k) ** 2 / (2.0 * geometry.mass)
-    return math.tan(k * geometry.well_width) + math.sqrt(e / (geometry.barrier_height - e))
-
-
-def _tangent_branch(geometry: WellGeometry, k: float) -> int:
-    """Index of the tangent branch containing k a (poles at half-integer pi)."""
-    return int(math.floor(k * geometry.well_width / math.pi + 0.5))
-
-
 def bound_state_energies(geometry: WellGeometry) -> np.ndarray:
     """All solutions of the level condition in (0, barrier_height), ascending (J).
 
-    Scans GRID_POINTS wave numbers, brackets sign changes that do not
-    straddle a tangent pole, and bisects each bracket until the energy is
-    converged to ENERGY_RTOL in relative terms.
+    Level n >= 1 is the single root on tangent branch n, bracketed by
+    k in ((n - 1/2) pi / a, min((n + 1/2) pi / a, k_max)) with the open
+    ends nudged inward. All brackets are bisected together until each
+    energy is converged to ENERGY_RTOL in relative terms; a top level
+    that rounds to barrier_height is left out. Raises ValidationError when
+    the level count exceeds MAX_LEVELS.
     """
+    a = geometry.well_width
     k_max = math.sqrt(2.0 * geometry.mass * geometry.barrier_height) / HBAR_JS
-    ks = np.linspace(k_max * 1e-9, k_max * (1.0 - 1e-12), GRID_POINTS)
-    roots = []
-    prev_k = ks[0]
-    prev_f = _match_residue(geometry, prev_k)
-    prev_branch = _tangent_branch(geometry, prev_k)
-    for k in ks[1:]:
-        f = _match_residue(geometry, k)
-        branch = _tangent_branch(geometry, k)
-        if branch == prev_branch and (prev_f == 0.0 or (prev_f < 0.0) != (f < 0.0)):
-            lo, f_lo = prev_k, prev_f
-            hi = k
-            # bisect in k; energy scales as k^2 so halve the k tolerance
-            while (hi - lo) > 0.5 * ENERGY_RTOL * (lo + hi) / 2.0:
-                mid = 0.5 * (lo + hi)
-                f_mid = _match_residue(geometry, mid)
-                if f_mid == 0.0:
-                    lo = hi = mid
-                    break
-                if (f_mid < 0.0) == (f_lo < 0.0):
-                    lo, f_lo = mid, f_mid
-                else:
-                    hi = mid
-            k_root = 0.5 * (lo + hi)
-            roots.append((HBAR_JS * k_root) ** 2 / (2.0 * geometry.mass))
-        prev_k, prev_f, prev_branch = k, f, branch
-    return np.array(sorted(roots))
+    count = k_max * a / math.pi + 0.5       # the level count is its floor
+    if not count < MAX_LEVELS + 1:
+        raise ValidationError(
+            f"the well holds about {count:.4g} levels, more than MAX_LEVELS = {MAX_LEVELS}; "
+            "narrow the well or lower the barrier"
+        )
+    n = np.arange(1, math.floor(count) + 1, dtype=float)
+    hi = np.nextafter(np.minimum((n + 0.5) * math.pi / a, k_max), 0.0)
+    # a top branch opening at k_max to rounding collapses onto hi, so k stays below k_max
+    lo = np.minimum(np.nextafter((n - 0.5) * math.pi / a, math.inf), hi)
+    # energy scales as k^2, so halve the k tolerance
+    while np.any(hi - lo > 0.5 * ENERGY_RTOL * 0.5 * (lo + hi)):
+        mid = 0.5 * (lo + hi)
+        # tan(k a) + sqrt(E / (V0 - E)), negative next to lo and positive next to hi;
+        # the square root is taken in k so it stays finite right up to k_max
+        below = np.tan(mid * a) + mid / np.sqrt((k_max - mid) * (k_max + mid)) < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    energies = (HBAR_JS * 0.5 * (lo + hi)) ** 2 / (2.0 * geometry.mass)
+    # on such a branch the top level may round to V0 itself, outside (0, V0)
+    return energies[energies < geometry.barrier_height]
 
 
 def classify_levels(geometry: WellGeometry, energies) -> list[BoundState]:

@@ -63,6 +63,38 @@ def test_well_report(tmp_path):
     assert len(lines) == 5
 
 
+def _wide_well(tmp_path, width_nm):
+    problem = {
+        "mode": "well",
+        "payload": {
+            "a": {"value": width_nm, "unit": "nm"},
+            "b": {"value": width_nm + 0.05, "unit": "nm"},
+            "v0": {"value": 10.0, "unit": "eV"},
+            "v0_prime": {"value": 5.0, "unit": "eV"},
+        },
+    }
+    f = tmp_path / "wide.json"
+    f.write_text(json.dumps(problem))
+    return str(f)
+
+
+def test_wide_well_reports_every_level(tmp_path):
+    code, outdir = _run(["well", "--in", _wide_well(tmp_path, 3000.0), "--format", "json"], tmp_path)
+    assert code == 0
+    with open(os.path.join(outdir, "well_report.json")) as fh:
+        doc = json.load(fh)
+    assert doc["level_count"] == 15471
+
+
+def test_well_past_level_budget_exits_2(tmp_path, capsys):
+    # 1 m at 10 eV holds about 5e9 levels
+    code, outdir = _run(["well", "--in", _wide_well(tmp_path, 1e9)], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "MAX_LEVELS" in err and "Traceback" not in err
+    assert not os.path.exists(os.path.join(outdir, "well_levels.csv"))
+
+
 def test_synth_then_simulate_chain(tmp_path):
     problem = os.path.join(PROBLEMS, "synth_two_pair_swap.json")
     code, outdir = _run(["synth", "--in", problem], tmp_path, "synth")

@@ -8,6 +8,7 @@ from qbond.errors import ValidationError
 from qbond.pulse_synthesis import PulseConstraints, schedule
 from qbond.serialization import (
     binding_report_to_json,
+    envelope_csv,
     matrix_from_json,
     matrix_to_json,
     require_keys,
@@ -142,6 +143,44 @@ def test_schedule_from_json_rejects_total_time_off_the_durations():
     doc["total_time"] = sched.total_time * (1.0 + 1e-6)
     with pytest.raises(ValidationError, match="total_time"):
         schedule_from_json(doc)
+
+
+def _envelope_rows(sched):
+    lines = envelope_csv(sched).strip().split("\n")
+    assert lines[0] == "time,amplitude,transition"
+    return [(float(t), float(amp), label) for t, amp, label in (line.split(",") for line in lines[1:])]
+
+
+def test_envelope_csv_has_one_row_per_breakpoint():
+    rng = np.random.default_rng(19)
+    sched = schedule(random_unitary(rng, 5), PulseConstraints(amplitude_max=0.7, slew_max=3.0, slew_min=-2.0))
+    rows = _envelope_rows(sched)
+    assert len(rows) == sum(len(sp.shape.breakpoints) for sp in sched.pulses)
+    offset, i = 0.0, 0
+    for sp in sched.pulses:
+        for t, amp in sp.shape.breakpoints:
+            assert rows[i] == (offset + t, amp, "{}-{}".format(*sp.pulse.transition))
+            i += 1
+        offset += sp.shape.duration
+
+
+def test_envelope_csv_rows_draw_the_sampled_polyline():
+    # interpolating the rows at the 50-per-segment sample times the table
+    # once held gives back the envelope itself
+    rng = np.random.default_rng(23)
+    sched = schedule(random_unitary(rng, 4), PulseConstraints(amplitude_max=1.0, amplitude_min=0.1))
+    rows = _envelope_rows(sched)
+    offset, i = 0.0, 0
+    for sp in sched.pulses:
+        shape = sp.shape
+        mine = rows[i : i + len(shape.breakpoints)]
+        i += len(shape.breakpoints)
+        knots = [t for t, _ in shape.breakpoints]
+        for a, b in zip(knots[:-1], knots[1:]):
+            for t in np.linspace(a, b, 50, endpoint=False):
+                drawn = np.interp(offset + t, [r[0] for r in mine], [r[1] for r in mine])
+                assert abs(drawn - shape.amplitude_at(t)) <= 1e-12
+        offset += shape.duration
 
 
 def test_well_levels_csv_layout():

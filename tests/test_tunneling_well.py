@@ -1,14 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbond.constants import ELECTRON_MASS_KG, ELECTRON_VOLT_J, HBAR_JS, joule_to_ev
 from qbond.errors import ValidationError
 from qbond.tunneling_well import (
+    ENERGY_RTOL,
     KIND_BOUND,
     KIND_TUNNELING,
     KIND_UNBOUNDED,
+    MAX_LEVELS,
     BoundState,
     WellGeometry,
     bound_state_energies,
@@ -18,6 +23,8 @@ from qbond.tunneling_well import (
     wkb_transmission,
     wkb_transmission_quadrature,
 )
+
+from test_acceptance import _oracle_energies_ev
 
 # published benchmark geometry: a = 2.62 A, b = 2.8 A, V0 = 80 eV, V0' = 42 eV
 BENCH = WellGeometry(
@@ -36,6 +43,124 @@ def test_geometry_validation():
     with pytest.raises(ValidationError):
         # plateau above the barrier makes no sense
         WellGeometry(well_width=1e-10, barrier_end=2e-10, barrier_height=1e-19, plateau_height=1e-18)
+
+
+@pytest.mark.parametrize(
+    "field", ["well_width", "barrier_end", "barrier_height", "plateau_height", "mass"]
+)
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_geometry_rejects_non_finite_fields(field, bad):
+    fields = dict(
+        well_width=1e-10, barrier_end=2e-10, barrier_height=1e-18, plateau_height=0.0, mass=ELECTRON_MASS_KG
+    )
+    fields[field] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        WellGeometry(**fields)
+
+
+def _branch_count(geometry):
+    k_max = math.sqrt(2.0 * geometry.mass * geometry.barrier_height) / HBAR_JS
+    return math.floor(k_max * geometry.well_width / math.pi + 0.5)
+
+
+@pytest.mark.parametrize("width_nm, count", [(50, 258), (500, 2578), (3000, 15471)])
+def test_wide_wells_keep_every_level(width_nm, count):
+    # one level per tangent branch below k_max, however many branches there are
+    a = width_nm * 1e-9
+    geometry = WellGeometry(
+        well_width=a,
+        barrier_end=a + 0.05e-9,
+        barrier_height=10.0 * ELECTRON_VOLT_J,
+        plateau_height=5.0 * ELECTRON_VOLT_J,
+    )
+    energies = bound_state_energies(geometry)
+    assert len(energies) == _branch_count(geometry) == count
+    assert np.all(np.diff(energies) > 0.0)
+    assert 0.0 < energies[0] and energies[-1] < geometry.barrier_height
+
+
+def test_branch_starting_at_barrier_top_holds_no_level():
+    # k_max a on a tangent pole: the top branch opens at V0 itself, where no level lies
+    v0 = 10.0 * ELECTRON_VOLT_J
+    k_max = math.sqrt(2.0 * ELECTRON_MASS_KG * v0) / HBAR_JS
+    for n in (1, 2, 7, 40, 333):
+        a = (n - 0.5) * math.pi / k_max
+        for width in (np.nextafter(a, 0.0), a, np.nextafter(a, 1.0)):
+            geometry = WellGeometry(well_width=width, barrier_end=2.0 * width, barrier_height=v0, plateau_height=0.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                energies = bound_state_energies(geometry)
+            assert len(energies) in (n - 1, n)
+            assert np.all(np.diff(energies) > 0.0)
+            assert np.all((0.0 < energies) & (energies < v0))
+
+
+def test_level_count_is_capped_at_max_levels():
+    v0 = 10.0 * ELECTRON_VOLT_J
+    k_max = math.sqrt(2.0 * ELECTRON_MASS_KG * v0) / HBAR_JS
+    at_cap = (MAX_LEVELS - 0.25) * math.pi / k_max
+    geometry = WellGeometry(well_width=at_cap, barrier_end=2.0 * at_cap, barrier_height=v0, plateau_height=0.0)
+    assert len(bound_state_energies(geometry)) == MAX_LEVELS
+    past_cap = (MAX_LEVELS + 0.75) * math.pi / k_max
+    geometry = WellGeometry(well_width=past_cap, barrier_end=2.0 * past_cap, barrier_height=v0, plateau_height=0.0)
+    with pytest.raises(ValidationError, match="MAX_LEVELS"):
+        bound_state_energies(geometry)
+    # a 1 m well at 10 eV holds about 5e9 levels
+    geometry = WellGeometry(well_width=1.0, barrier_end=1.1, barrier_height=v0, plateau_height=0.0)
+    with pytest.raises(ValidationError, match="MAX_LEVELS"):
+        bound_state_energies(geometry)
+    # an overflowing wave number is refused the same way
+    huge = WellGeometry(well_width=1.0, barrier_end=2.0, barrier_height=1e300, plateau_height=0.0, mass=1e300)
+    with pytest.raises(ValidationError, match="MAX_LEVELS"):
+        bound_state_energies(huge)
+
+
+def test_levels_match_bisection_oracle_on_random_geometries():
+    rng = np.random.default_rng(61)
+    for _ in range(5):
+        a = rng.uniform(2.0, 5.0) * 1e-10
+        geometry = WellGeometry(
+            well_width=a,
+            barrier_end=a + rng.uniform(0.1, 1.0) * 1e-10,
+            barrier_height=rng.uniform(40.0, 120.0) * ELECTRON_VOLT_J,
+            plateau_height=0.0,
+        )
+        got = [joule_to_ev(e) for e in bound_state_energies(geometry)]
+        oracle = _oracle_energies_ev(geometry)
+        assert len(got) == len(oracle) == _branch_count(geometry)
+        assert max(abs(g - o) / o for g, o in zip(got, oracle)) < 1e-9
+
+
+def _residue(geometry, energy):
+    # tan(k a) + sqrt(E / (V0 - E)); +inf at and above the barrier top
+    if energy >= geometry.barrier_height:
+        return math.inf
+    k = math.sqrt(2.0 * geometry.mass * energy) / HBAR_JS
+    return math.tan(k * geometry.well_width) + math.sqrt(energy / (geometry.barrier_height - energy))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.floats(1e-10, 1e-7),
+    barrier=st.floats(1e-11, 1e-9),
+    v0_ev=st.floats(0.5, 200.0),
+    plateau_share=st.floats(0.0, 0.99),
+    mass_me=st.floats(0.05, 5.0),
+)
+def test_levels_follow_branch_structure(width, barrier, v0_ev, plateau_share, mass_me):
+    geometry = WellGeometry(
+        well_width=width,
+        barrier_end=width + barrier,
+        barrier_height=v0_ev * ELECTRON_VOLT_J,
+        plateau_height=plateau_share * v0_ev * ELECTRON_VOLT_J,
+        mass=mass_me * ELECTRON_MASS_KG,
+    )
+    energies = bound_state_energies(geometry)
+    assert len(energies) == _branch_count(geometry)
+    assert np.all(np.diff(energies) > 0.0)
+    assert np.all((0.0 < energies) & (energies < geometry.barrier_height))
+    for e in energies:
+        assert _residue(geometry, e * (1.0 - ENERGY_RTOL)) < 0.0 < _residue(geometry, e * (1.0 + ENERGY_RTOL))
 
 
 def test_deep_well_approaches_infinite_well_levels():
