@@ -107,9 +107,11 @@ def binding_energy(rho0, h_free, h_int, atol: float = HERMITIAN_ATOL) -> Binding
     h_int : coupling term; h_free + h_int is the Hamiltonian that sets
         the initial energy
 
-    Returns a BindingEnergyReport. The final energy is the brute-force
-    minimum over all population-to-level assignments (rearrangement
-    optimum), reached by the reported unitary.
+    Returns a BindingEnergyReport. The final energy pairs the populations
+    of rho0, sorted nonincreasing, with the free levels in nondecreasing
+    energy; by the rearrangement inequality no other assignment of
+    populations to levels gives less, so no search over assignments is
+    made. The reported unitary reaches it.
     """
     rho = validate_density_matrix(rho0, hermitian_atol=atol)
     free = hermitian_eigendecomposition(h_free, atol=atol)
@@ -130,14 +132,11 @@ def binding_energy(rho0, h_free, h_int, atol: float = HERMITIAN_ATOL) -> Binding
     # unitary sending the k-th most populated eigenvector to the k-th free level
     u_opt = free.eigenvectors @ state.eigenvectors[:, order].conj().T
 
-    v = free.eigenvectors
-    passive = (v * populations[order]) @ v.conj().T
-
     return BindingEnergyReport(
         delta_u_be=final - initial,
         initial_energy=initial,
         final_energy=final,
-        passive_state=passive,
+        passive_state=passive_state(populations, free),
         assignment=tuple(int(k) for k in order),
         optimal_unitary=u_opt,
     )

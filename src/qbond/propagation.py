@@ -4,11 +4,15 @@ Schedule playback (simulate_schedule) uses the structure of a pulse train.
 Every pulse drives one fixed level pair (k, k+1) with one fixed carrier
 phase, so its generators commute at all times and the propagator of one
 linear envelope segment is the closed-form pulse block with area
-D * integral (a - baseline) dt. Playback applies one such block per segment
-with pulse_synthesis._rotate_rows: O(d) work per segment, O(d^2) memory in
-total, exact up to roundoff, with no step size to refine. steps_per_segment
-only sets the grid the state trajectory is sampled on. D is the dipole
-recorded on each pulse unless dipoles overrides it; it is never inferred.
+D * integral (a - baseline) dt. Playback builds the blocks of all segments
+in one pulse_synthesis._blocks call and applies them in order, each to two
+rows: O(d) work per segment, exact up to roundoff, with no step size to
+refine. steps_per_segment only sets the grid the state trajectory is
+sampled on. With rho0, the propagator at each sample time is copied into a
+(samples, d, d) stack; one batched rotation adds the partial area of each
+sample's running segment, and one batched product gives the states, so the
+trajectory holds at most three such stacks. D is the dipole recorded on
+each pulse unless dipoles overrides it; it is never inferred.
 
 evolve_unitary and evolve_density are the generic route for arbitrary,
 possibly non-commuting Hamiltonian callables. They multiply per-step
@@ -20,7 +24,6 @@ express a schedule as such callables.
 
 from __future__ import annotations
 
-import cmath
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,7 +37,7 @@ from .operators import (
     hermitian_eigendecomposition,
     validate_density_matrix,
 )
-from .pulse_synthesis import PulseSchedule, _dipole, _rotate_rows
+from .pulse_synthesis import PulseSchedule, _blocks, _dipole, _row_pairs
 
 STEPS_PER_SEGMENT = 200
 COMMUTATOR_ATOL = 1e-8
@@ -192,34 +195,40 @@ def rwa_interaction(pulse, shape, dipole: float, dimension: int):
     return h_of_t
 
 
-class _Segment(NamedTuple):
-    """One linear envelope piece on the schedule clock.
+class _Segments(NamedTuple):
+    """Linear envelope pieces on the schedule clock, one array entry each.
 
-    k is the lower level of the driven pair (k, k+1), 1-based; a_lo and
-    a_hi are the envelope above its baseline at t_lo and t_hi.
+    Entry i runs from t_lo[i] to t_hi[i] on the pair (k[i], k[i]+1), k
+    1-based; a_lo and a_hi are the envelope above its baseline at t_lo and
+    t_hi. Entries are in playback order.
     """
 
-    t_lo: float
-    t_hi: float
-    k: int
-    dipole: float
-    phase: float
-    a_lo: float
-    a_hi: float
+    t_lo: np.ndarray
+    t_hi: np.ndarray
+    k: np.ndarray
+    dipole: np.ndarray
+    phase: np.ndarray
+    a_lo: np.ndarray
+    a_hi: np.ndarray
 
-    def amplitude(self, t: float) -> float:
-        return self.a_lo + (self.a_hi - self.a_lo) * (t - self.t_lo) / (self.t_hi - self.t_lo)
+    def full_area(self) -> np.ndarray:
+        """Rotation angle D * integral of the envelope over each whole segment."""
+        return self.dipole * 0.5 * (self.a_lo + self.a_hi) * (self.t_hi - self.t_lo)
 
-    def area(self, t: float) -> float:
-        """Rotation angle D * integral of the envelope from t_lo to min(t, t_hi)."""
-        if t >= self.t_hi:
-            return self.dipole * 0.5 * (self.a_lo + self.a_hi) * (self.t_hi - self.t_lo)
-        x = t - self.t_lo
-        slope = (self.a_hi - self.a_lo) / (self.t_hi - self.t_lo)
-        return self.dipole * x * (self.a_lo + 0.5 * slope * x)
+    def area(self, i: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Rotation angle of segments i from t_lo[i] to t, for t_lo[i] <= t <= t_hi[i]."""
+        x = t - self.t_lo[i]
+        slope = (self.a_hi[i] - self.a_lo[i]) / (self.t_hi[i] - self.t_lo[i])
+        return self.dipole[i] * x * (self.a_lo[i] + 0.5 * slope * x)
+
+    def amplitude(self, i: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Envelope above baseline of segments i at t."""
+        return self.a_lo[i] + (self.a_hi[i] - self.a_lo[i]) * (t - self.t_lo[i]) / (
+            self.t_hi[i] - self.t_lo[i]
+        )
 
 
-def _segments(sched: PulseSchedule, dipoles):
+def _segments(sched: PulseSchedule, dipoles) -> _Segments:
     """Envelope segments of positive width, pulses back to back from t = 0.
 
     Amplitudes are read from the breakpoints of each shape, never from its
@@ -227,6 +236,7 @@ def _segments(sched: PulseSchedule, dipoles):
     """
     d = sched.dimension
     offset = 0.0
+    pieces = []
     for sp in sched.pulses:
         shape = sp.shape
         if shape is None:
@@ -240,26 +250,31 @@ def _segments(sched: PulseSchedule, dipoles):
             if t1 < t0:
                 raise ValidationError(f"breakpoint times must not decrease, got {t0} then {t1}")
             if t1 > t0:
-                yield _Segment(
-                    offset + t0, offset + t1, k, d_k, sp.pulse.phase, a0 - base, a1 - base
-                )
+                pieces.append((offset + t0, offset + t1, k, d_k, sp.pulse.phase, a0 - base, a1 - base))
         offset += shape.duration
+    columns = np.array(pieces, dtype=float).reshape(-1, 7).T
+    return _Segments(columns[0], columns[1], columns[2].astype(int), *columns[3:])
 
 
-def _drive_energy(segments: list, done: int, t: float, state: np.ndarray) -> float:
-    """Tr[H(t) state] for the rotating-frame drive at time t.
+def _drive_energies(segs: _Segments, done: np.ndarray, times: np.ndarray, states) -> np.ndarray:
+    """Tr[H(t) state] for the rotating-frame drive at each sample time.
 
-    segments[:done] have finished by t. At a boundary the earlier segment
-    applies, as in schedule_hamiltonian; outside every segment H is zero.
+    done[i] segments have finished by times[i]. At a boundary the earlier
+    segment applies, as in schedule_hamiltonian; outside every segment H
+    is zero.
     """
-    if done > 0 and segments[done - 1].t_hi == t:
-        seg = segments[done - 1]
-    elif done < len(segments) and segments[done].t_lo <= t:
-        seg = segments[done]
-    else:
-        return 0.0
-    coupling = -seg.dipole * seg.amplitude(t) * cmath.exp(1j * seg.phase)
-    return 2.0 * (coupling * state[seg.k, seg.k - 1]).real
+    n = len(segs.k)
+    if n == 0:
+        return np.zeros(len(times))
+    earlier = np.maximum(done - 1, 0)
+    later = np.minimum(done, n - 1)
+    at_end = (done > 0) & (segs.t_hi[earlier] == times)
+    running = (done < n) & (segs.t_lo[later] <= times)
+    seg = np.where(at_end, earlier, later)
+    k = segs.k[seg]
+    coupling = -segs.dipole[seg] * segs.amplitude(seg, times) * np.exp(1j * segs.phase[seg])
+    energies = 2.0 * (coupling * states[np.arange(len(times)), k, k - 1]).real
+    return np.where(at_end | running, energies, 0.0)
 
 
 def simulate_schedule(
@@ -286,7 +301,8 @@ def simulate_schedule(
     into steps_per_segment equal steps. Setting that grid is all
     steps_per_segment does; it has no effect on accuracy. A segment still
     playing at a sample time contributes the closed-form area of its linear
-    ramp up to that time.
+    ramp up to that time. The states are views into one (samples, d, d)
+    array.
     """
     if (
         isinstance(steps_per_segment, bool)
@@ -297,7 +313,10 @@ def simulate_schedule(
             f"steps_per_segment must be an integer >= 1, got {steps_per_segment!r}"
         )
     d = sched.dimension
-    segments = list(_segments(sched, dipoles))
+    segs = _segments(sched, dipoles)
+    n_segs = len(segs.k)
+    blocks = _blocks(segs.full_area(), segs.phase)
+    lows = (segs.k - 1).tolist()
     u = np.eye(d, dtype=complex)
     result = PropagationResult(final_unitary=u, times=np.array([0.0, max(sched.total_time, 0.0)]))
     done = 0
@@ -306,7 +325,7 @@ def simulate_schedule(
         rho = validate_density_matrix(rho0)
         if rho.shape != (d, d):
             raise ValidationError(f"rho0 has shape {rho.shape}, the schedule acts on dimension {d}")
-        knots = np.unique([0.0] + [seg.t_hi for seg in segments])
+        knots = np.unique(np.append(0.0, segs.t_hi))
         if len(knots) < 2:
             knots = np.array([0.0, 1.0])
         # only the samples are computed: grid point i = q * s + j is linspace's j * ((b - a) / s) + a
@@ -315,26 +334,35 @@ def simulate_schedule(
         if n_steps > 2**53:  # grid indices are exact in float64 up to here
             raise ValidationError(f"steps_per_segment {s} makes {n_steps} grid steps, over 2**53")
         q, j = np.divmod(_sample_picks(n_steps, samples), s)
-        result.times = np.unique(j * np.append(np.diff(knots) / s, 0.0)[q] + knots[q])
-        result.state_trajectory = []
-        energies = []
-        for t in result.times:
-            while done < len(segments) and segments[done].t_hi <= t:
-                seg = segments[done]
-                _rotate_rows(u, seg.k, seg.area(seg.t_hi), seg.phase)
+        times = np.unique(j * np.append(np.diff(knots) / s, 0.0)[q] + knots[q])
+        # propagator at each sample time: finished segments now, the running one below
+        stack = np.empty((len(times), d, d), dtype=complex)
+        done_at = np.empty(len(times), dtype=int)
+        t_hi = segs.t_hi.tolist()
+        for i, t in enumerate(times.tolist()):
+            while done < n_segs and t_hi[done] <= t:
+                lo = lows[done]
+                u[lo : lo + 2] = blocks[done] @ u[lo : lo + 2]
                 done += 1
-            now = u
-            if done < len(segments) and segments[done].t_lo < t:
-                seg = segments[done]
-                now = u.copy()
-                _rotate_rows(now, seg.k, seg.area(t), seg.phase)
-            state = now @ rho @ now.conj().T
-            result.state_trajectory.append(state)
-            energies.append(_drive_energy(segments, done, t, state))
-        result.energy_trajectory = np.array(energies)
+            stack[i] = u
+            done_at[i] = done
+        running = np.flatnonzero(done_at < n_segs)
+        running = running[segs.t_lo[done_at[running]] < times[running]]
+        seg = done_at[running]
+        rows = _row_pairs(segs.k[seg], d)
+        sel = running[:, None]
+        stack[sel, rows] = _blocks(segs.area(seg, times[running]), segs.phase[seg]) @ stack[sel, rows]
+        # states U rho U^dag with at most three (samples, d, d) stacks alive
+        left = stack @ rho
+        np.conj(stack, out=stack)
+        states = left @ stack.transpose(0, 2, 1)
+        result.times = times
+        result.state_trajectory = list(states)
+        result.energy_trajectory = _drive_energies(segs, done_at, times, states)
 
-    for seg in segments[done:]:
-        _rotate_rows(u, seg.k, seg.area(seg.t_hi), seg.phase)
+    for i in range(done, n_segs):
+        lo = lows[i]
+        u[lo : lo + 2] = blocks[i] @ u[lo : lo + 2]
 
     if target is not None:
         reference = as_square_matrix(target) @ sched.residual_matrix()

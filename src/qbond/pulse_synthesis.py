@@ -9,15 +9,19 @@ A resonant pulse of area C and carrier phase phi on the level pair
 embedded in the identity (rows and columns k, k+1, levels 1-based). The
 area is the dipole-weighted envelope integral, C = D_k * integral A(t) dt
 measured above the envelope baseline, so a full population swap is
-C = pi / 2. _rotate_rows applies the block to two rows in place, O(d); it is
-the only code that writes the block, and pulse_unitary, the decomposition,
-reconstruct and schedule playback all use it.
+C = pi / 2. _blocks builds an (m, 2, 2) stack of these blocks from arrays
+of areas and phases; it is the only code that writes the block. Its
+callers (pulse_unitary, the decomposition, reconstruct and schedule
+playback) left-multiply (m, 2, n) stacks of disjoint row pairs with it, so
+one numpy product applies a whole layer of pulses.
 
-Decomposition walks columns of the target from last to first. Within a
-column the nonzero entries above the diagonal position are chained
-downward: the entry on row k is rotated into row k+1, so the column mass
-accumulates on the diagonal. Running these eliminations W_1 .. W_K leaves
-a diagonal unitary Lambda,
+Decomposition walks columns of the target from last to first (Reck
+order). Within a column the nonzero entries above the diagonal position
+are chained downward: the entry on row k is rotated into row k+1, so the
+column mass accumulates on the diagonal. Eliminations on disjoint row
+pairs commute, so they run as a wavefront of 2d - 3 batched layers that
+gives the serial loop's result. Running these eliminations W_1 .. W_K
+leaves a diagonal unitary Lambda,
 
     W_K ... W_1 U = Lambda,
 
@@ -36,7 +40,6 @@ records the dipole D_k it was shaped for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import cmath
 import math
 
 import numpy as np
@@ -49,12 +52,10 @@ ELIMINATION_ATOL = 1e-13
 DIAGONAL_ATOL = 1e-10
 
 
-def _wrap_angle(angle: float) -> float:
-    """Map to (-pi, pi]."""
-    a = math.fmod(angle + math.pi, 2.0 * math.pi)
-    if a <= 0.0:
-        a += 2.0 * math.pi
-    return a - math.pi
+def _wrap_angle(angle):
+    """Map to (-pi, pi], elementwise for arrays."""
+    a = np.fmod(np.add(angle, math.pi), 2.0 * math.pi)
+    return np.where(a <= 0.0, a + 2.0 * math.pi, a) - math.pi
 
 
 @dataclass(frozen=True)
@@ -183,38 +184,71 @@ class PulseSchedule:
         return np.diag(np.exp(1j * np.asarray(self.residual_phases)))
 
     def reconstruct(self) -> np.ndarray:
-        u = np.eye(self.dimension, dtype=complex)
-        for sp in self.pulses:
-            _rotate_rows(u, sp.pulse.transition[0], sp.pulse.area, sp.pulse.phase)
+        """Product of the pulse unitaries, then R^dag, rotated layer by layer.
+
+        Each pulse joins the first layer after every earlier pulse on one of
+        its two levels (as soon as possible), so pulses of one layer share no
+        level, commute, and rotate their row pairs in one batched product.
+        Any pulse order works; a transition beyond the dimension raises.
+        """
+        d = self.dimension
+        rows = _row_pairs([sp.pulse.transition[0] for sp in self.pulses], d)
+        blocks = _blocks([sp.pulse.area for sp in self.pulses], [sp.pulse.phase for sp in self.pulses])
+        free = [0] * d
+        layers: list[list[int]] = []
+        for i, (lo, hi) in enumerate(rows.tolist()):
+            t = max(free[lo], free[hi])
+            free[lo] = free[hi] = t + 1
+            if t == len(layers):
+                layers.append([])
+            layers[t].append(i)
+        u = np.eye(d, dtype=complex)
+        for layer in layers:
+            pairs = rows[layer]
+            u[pairs] = blocks[layer] @ u[pairs]
         # u @ R^dag: scale column j by exp(-i theta_j)
         return u * np.exp(-1j * np.asarray(self.residual_phases))
 
 
-def _rotate_rows(u: np.ndarray, k: int, area: float, phase: float) -> None:
-    """Left-multiply rows k-1 and k of u in place by the pulse block on (k, k+1).
+def _blocks(areas, phases) -> np.ndarray:
+    """Pulse blocks for arrays of areas and carrier phases, shape (m, 2, 2).
 
-    The block is [[c, i e^{i phi} s], [i e^{-i phi} s, c]] with c, s the
+    Each block is [[c, i e^{i phi} s], [i e^{-i phi} s, c]] with c, s the
     cosine and sine of the area; this is the only code that writes it.
+    Callers left-multiply an (m, 2, n) stack of disjoint row pairs with it.
     """
-    if k >= u.shape[0]:
-        raise ValidationError(f"transition ({k}, {k + 1}) exceeds dimension {u.shape[0]}")
-    c, s = math.cos(area), math.sin(area)
-    e = 1j * cmath.exp(1j * phase) * s
-    rows = u[k - 1 : k + 1]
-    rows[:] = np.array([[c, e], [-e.conjugate(), c]]) @ rows
+    areas = np.asarray(areas, dtype=float)
+    c = np.cos(areas)
+    e = 1j * np.exp(1j * np.asarray(phases, dtype=float)) * np.sin(areas)
+    blocks = np.empty(areas.shape + (2, 2), dtype=complex)
+    blocks[..., 0, 0] = c
+    blocks[..., 0, 1] = e
+    blocks[..., 1, 0] = -e.conj()
+    blocks[..., 1, 1] = c
+    return blocks
+
+
+def _row_pairs(ks, dimension: int) -> np.ndarray:
+    """Zero-based rows (k - 1, k) of the level pairs (k, k+1), shape (m, 2)."""
+    ks = np.asarray(ks, dtype=int).reshape(-1)
+    if ks.size and ks.max() >= dimension:
+        k = int(ks.max())
+        raise ValidationError(f"transition ({k}, {k + 1}) exceeds dimension {dimension}")
+    return np.stack([ks - 1, ks], axis=-1)
 
 
 def pulse_unitary(pulse: TransitionPulse, dimension: int) -> np.ndarray:
     """Embed the closed-form pulse block into the identity."""
     u = np.eye(dimension, dtype=complex)
-    _rotate_rows(u, pulse.transition[0], pulse.area, pulse.phase)
+    pairs = _row_pairs(pulse.transition[0], dimension)
+    u[pairs] = _blocks([pulse.area], [pulse.phase]) @ u[pairs]
     return u
 
 
 def adjoint_pulse(pulse: TransitionPulse) -> TransitionPulse:
     """Inverse rotation as another pulse: same area, carrier phase shifted by pi."""
     return TransitionPulse(
-        transition=pulse.transition, area=pulse.area, phase=_wrap_angle(pulse.phase + math.pi)
+        transition=pulse.transition, area=pulse.area, phase=float(_wrap_angle(pulse.phase + math.pi))
     )
 
 
@@ -236,15 +270,7 @@ def area_phase_from_column(column, k: int) -> tuple[float, float]:
     if r_lo <= ELIMINATION_ATOL:
         return 0.0, 0.0
     area = math.atan2(r_lo, r_up)
-    phase = _wrap_angle(np.angle(upper) - np.angle(lower) - math.pi / 2)
-    return area, phase
-
-
-def _descend_angles(column: np.ndarray, k: int) -> tuple[float, float]:
-    """Angles clearing row k downward into row k+1 (mirror of the public primitive)."""
-    upper, lower = column[k - 1], column[k]
-    area = math.atan2(abs(upper), abs(lower))
-    phase = _wrap_angle(np.angle(upper) - np.angle(lower) + math.pi / 2)
+    phase = float(_wrap_angle(np.angle(upper) - np.angle(lower) - math.pi / 2))
     return area, phase
 
 
@@ -254,20 +280,41 @@ def givens_decompose(target) -> PulseSchedule:
     Returns a PulseSchedule with areas and phases only (shapes unset).
     The identity reconstructed from it matches the target to roundoff;
     the trailing diagonal is reported through residual_phases. Pulse
-    count is at most d (d - 1) / 2; each one rotates two rows in place.
+    count is at most d (d - 1) / 2.
+
+    The eliminations run as a wavefront: elimination (col, row), which
+    clears entry (row, col) into row + 1 (1-based), goes in layer
+    t = row + 2 (d - col). Within a layer the rows step by 2 and the
+    columns by 1, so its row pairs are disjoint and form one contiguous
+    (m, 2, d) block of the work matrix, and its column entries sit
+    2 d + 1 apart in the flattened matrix. Every row still meets its
+    rotations in Reck order (columns last to first, rows top down within
+    a column), so 2 d - 3 batched steps do the work of the serial loop.
     """
     u = validate_unitary(as_square_matrix(target))
     d = u.shape[0]
-    work = u.astype(complex).copy()
-    eliminations: list[TransitionPulse] = []
-
-    for col in range(d, 1, -1):
-        for row in range(1, col):
-            if abs(work[row - 1, col - 1]) <= ELIMINATION_ATOL:
-                continue
-            area, phase = _descend_angles(work[:, col - 1], row)
-            _rotate_rows(work, row, area, phase)
-            eliminations.append(TransitionPulse(transition=(row, row + 1), area=area, phase=phase))
+    work = u.astype(complex)
+    flat = work.reshape(-1)
+    step = 2 * d + 1
+    n = d * (d - 1) // 2
+    wave = np.empty((2, n))  # areas and phases in wavefront order
+    done = 0
+    for t in range(1, 2 * d - 2):
+        row = max(t - 2 * d + 4, 2 - t % 2)
+        m = (min(t, 2 * d - 2 - t) - row) // 2 + 1
+        start = (row - 1) * d + d - 1 - (t - row) // 2
+        upper = flat[start : start + m * step : step]
+        lower = flat[start + d : start + d + m * step : step]
+        r_up = np.abs(upper)
+        # entries at or below ELIMINATION_ATOL are already eliminated; their rows stay untouched,
+        # since even an identity block can flip the sign of a zero whose angle sets a later phase
+        live = r_up > ELIMINATION_ATOL
+        area = np.arctan2(r_up, np.abs(lower)) * live
+        phase = _wrap_angle(np.angle(upper) - np.angle(lower) + math.pi / 2)
+        pairs = work[row - 1 : row - 1 + 2 * m].reshape(m, 2, d)
+        pairs[live] = _blocks(area[live], phase[live]) @ pairs[live]
+        wave[:, done : done + m] = area, phase
+        done += m
 
     off_diag = work - np.diag(np.diag(work))
     worst = float(np.abs(off_diag).max()) if d > 1 else 0.0
@@ -279,7 +326,19 @@ def givens_decompose(target) -> PulseSchedule:
     # residual_phases = Lambda^dag, stored as angles
     residual = -np.angle(diagonal)
 
-    pulses = [ScheduledPulse(pulse=adjoint_pulse(w)) for w in reversed(eliminations)]
+    # Reck order: columns last to first, rows top down; a kept elimination has area > 0
+    cols = np.repeat(np.arange(d, 1, -1), np.arange(d - 1, 0, -1))
+    rows = np.arange(n) - (d * (d - 1) - cols * (cols - 1)) // 2 + 1
+    reck = np.empty((2, n))
+    reck[:, np.lexsort((rows, rows + 2 * (d - cols)))] = wave
+    keep = np.flatnonzero(reck[0] > 0.0)[::-1]
+    # the schedule applies the adjoint eliminations in reverse: same area, phase shifted by pi
+    pulses = [
+        ScheduledPulse(pulse=TransitionPulse(transition=(k, k + 1), area=a, phase=p))
+        for k, a, p in zip(
+            rows[keep].tolist(), reck[0, keep].tolist(), _wrap_angle(reck[1, keep] + math.pi).tolist()
+        )
+    ]
     return PulseSchedule(pulses=pulses, residual_phases=residual)
 
 

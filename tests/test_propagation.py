@@ -32,6 +32,7 @@ from qbond.pulse_synthesis import (
 from qbond.serialization import schedule_from_json, schedule_to_json
 
 from helpers import random_density, random_hermitian, random_probabilities, random_unitary
+from serial_oracles import serial_trajectory
 
 SYM = PulseConstraints(amplitude_max=2.0, slew_max=4.0, slew_min=-4.0)
 
@@ -277,6 +278,47 @@ def test_simulate_schedule_matches_generic_density_route():
         assert np.abs(oracle.energy_trajectory).max() > 1e-3
         assert np.abs(got.energy_trajectory - oracle.energy_trajectory).max() < 1e-9
         assert got.fidelity_to_target >= 1.0 - 1e-9
+
+
+def test_batched_trajectory_matches_serial_samples():
+    # one sample at a time with scalar rotations against the batched pass;
+    # steps_per_segment = 1 samples every knot, so every segment end is hit
+    rng = np.random.default_rng(83)
+    for d in (2, 3, 5, 8):
+        u_target = random_unitary(rng, d)
+        dipoles = {k: float(rng.uniform(0.5, 2.0)) for k in range(1, d)}
+        sched = schedule(u_target, SYM, dipoles=dipoles)
+        rho0 = random_density(rng, d)
+        knots = np.unique(_schedule_knots(sched))
+        for steps, samples in ((1, 10**6), (3, 10**6), (7, 57)):
+            got = simulate_schedule(sched, rho0=rho0, steps_per_segment=steps, samples=samples)
+            if steps == 1:
+                assert np.array_equal(got.times, knots)
+            u, states, energies = serial_trajectory(sched, rho0, got.times)
+            assert np.abs(got.final_unitary - u).max() <= 1e-12
+            assert len(got.state_trajectory) == len(states)
+            assert max(np.abs(a - b).max() for a, b in zip(got.state_trajectory, states)) <= 1e-12
+            assert np.abs(energies).max() > 1e-3
+            assert np.abs(got.energy_trajectory - energies).max() <= 1e-12
+
+
+def test_batched_trajectory_takes_the_earlier_segment_at_a_jump():
+    # envelopes that jump at a breakpoint and at the end of each pulse: at
+    # those sample times the earlier segment sets the drive energy
+    rng = np.random.default_rng(89)
+    sched = schedule(random_unitary(rng, 3), SYM, dipoles=1.2)
+    stepped = PulseShape(
+        breakpoints=((0.0, 0.0), (0.5, 0.8), (0.5, 0.3), (1.0, 0.6), (1.5, 0.4), (1.5, 0.0)),
+        duration=1.5,
+        realized_area=0.0,
+    )
+    jumpy = dataclasses.replace(sched, pulses=[dataclasses.replace(sp, shape=stepped) for sp in sched.pulses])
+    rho0 = random_density(rng, 3)
+    got = simulate_schedule(jumpy, rho0=rho0, steps_per_segment=1, samples=10**6)
+    u, states, energies = serial_trajectory(jumpy, rho0, got.times)
+    assert np.abs(got.final_unitary - u).max() <= 1e-12
+    assert max(np.abs(a - b).max() for a, b in zip(got.state_trajectory, states)) <= 1e-12
+    assert np.abs(got.energy_trajectory - energies).max() <= 1e-12
 
 
 def test_simulate_schedule_plays_the_envelope_not_the_stored_area():

@@ -8,6 +8,8 @@ from scipy.linalg import expm
 from qbond.errors import ValidationError
 from qbond.pulse_synthesis import (
     PulseConstraints,
+    PulseSchedule,
+    ScheduledPulse,
     TransitionPulse,
     adjoint_pulse,
     area_phase_from_column,
@@ -20,6 +22,7 @@ from qbond.pulse_synthesis import (
 )
 
 from helpers import random_unitary
+from serial_oracles import reck_decompose
 
 SYM = PulseConstraints(amplitude_max=2.0, amplitude_min=0.0, slew_max=4.0, slew_min=-4.0)
 
@@ -329,3 +332,78 @@ def test_total_time_is_derived_from_the_shapes():
         total += sp.shape.duration
     assert sched.total_time == total
     assert "total_time" not in {f.name for f in dataclasses.fields(sched)}
+
+
+def _structured_targets():
+    """Targets whose decomposition skips eliminations: exact zeros and phases only."""
+    rng = np.random.default_rng(71)
+    yield np.eye(6)
+    yield np.diag(np.exp(1j * rng.uniform(-math.pi, math.pi, 7)))
+    for d in (2, 5, 8, 16):
+        yield np.eye(d)[rng.permutation(d)]
+    for d in (3, 6, 12, 19):
+        yield np.diag(np.exp(1j * rng.uniform(-math.pi, math.pi, d)))[rng.permutation(d)]
+    yield np.eye(8)[::-1]
+    block = np.zeros((9, 9), dtype=complex)
+    block[:4, :4] = random_unitary(rng, 4)
+    block[4:6, 4:6] = random_unitary(rng, 2)
+    block[6:, 6:] = random_unitary(rng, 3)
+    yield block
+    shuffled = np.eye(9)[rng.permutation(9)]
+    yield shuffled @ block @ shuffled.T
+
+
+def _haar_targets():
+    rng = np.random.default_rng(73)
+    for d in list(range(1, 17)) + [32, 64]:
+        yield random_unitary(rng, d)
+
+
+@pytest.mark.parametrize("family", [_haar_targets, _structured_targets])
+def test_wavefront_matches_serial_reck_loop(family):
+    for target in family():
+        sched = givens_decompose(target)
+        pulses, residual = reck_decompose(target)
+        assert [sp.pulse.transition for sp in sched.pulses] == [t for t, _, _ in pulses]
+        if pulses:
+            got = np.array([(sp.pulse.area, sp.pulse.phase) for sp in sched.pulses])
+            want = np.array([(a, p) for _, a, p in pulses])
+            assert np.abs(got - want).max() <= 1e-12
+        assert np.abs(sched.residual_phases - residual).max() <= 1e-12
+
+
+def test_structured_targets_skip_eliminations_and_reconstruct():
+    skipped = 0
+    for target in _structured_targets():
+        sched = givens_decompose(target)
+        d = target.shape[0]
+        skipped += d * (d - 1) // 2 - len(sched.pulses)
+        assert np.abs(sched.reconstruct() - target).max() < 1e-10
+    assert skipped > 100
+
+
+def test_reconstruct_layers_any_pulse_order():
+    # random and shuffled Givens trains, far from Reck order, against the
+    # dense product of pulse_unitary matrices times R^dag
+    rng = np.random.default_rng(79)
+    for d in (2, 3, 6, 11):
+        train = givens_decompose(random_unitary(rng, d)).pulses
+        shuffled = [train[i] for i in rng.permutation(len(train))]
+        random_train = [
+            ScheduledPulse(pulse=_pulse(int(k), rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)))
+            for k in rng.integers(1, d, size=3 * d)
+        ]
+        for pulses in (shuffled, random_train):
+            sched = PulseSchedule(pulses=pulses, residual_phases=rng.uniform(-math.pi, math.pi, d))
+            dense = np.eye(d, dtype=complex)
+            for sp in sched.pulses:
+                dense = pulse_unitary(sp.pulse, d) @ dense
+            dense = dense @ sched.residual_matrix().conj().T
+            assert np.abs(sched.reconstruct() - dense).max() < 1e-13
+
+
+def test_reconstruct_rejects_transition_beyond_dimension():
+    inside = ScheduledPulse(pulse=_pulse(1, 0.4, 0.2))
+    outside = ScheduledPulse(pulse=_pulse(3, 0.4, 0.2))
+    with pytest.raises(ValidationError, match="exceeds dimension 3"):
+        PulseSchedule(pulses=[inside, outside, inside], residual_phases=np.zeros(3)).reconstruct()
