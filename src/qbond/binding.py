@@ -92,9 +92,13 @@ def passive_state(populations, free_spectrum: SpectralDecomposition) -> np.ndarr
         raise ValidationError(
             f"population count {len(p)} does not match spectrum dimension {free_spectrum.dim}"
         )
-    p_down = p[descending_order(p)]
-    v = free_spectrum.eigenvectors
-    return (v * p_down) @ v.conj().T
+    return _spectral_sum(p[descending_order(p)], free_spectrum)
+
+
+def _spectral_sum(weights: np.ndarray, spectrum: SpectralDecomposition) -> np.ndarray:
+    """Sum of weights[k] |v_k><v_k| over the eigenvectors of spectrum, levels ascending."""
+    v = spectrum.eigenvectors
+    return (v * weights) @ v.conj().T
 
 
 def binding_energy(rho0, h_free, h_int, atol: float = HERMITIAN_ATOL) -> BindingEnergyReport:
@@ -136,7 +140,7 @@ def binding_energy(rho0, h_free, h_int, atol: float = HERMITIAN_ATOL) -> Binding
         delta_u_be=final - initial,
         initial_energy=initial,
         final_energy=final,
-        passive_state=passive_state(populations, free),
+        passive_state=_spectral_sum(populations[order], free),
         assignment=tuple(int(k) for k in order),
         optimal_unitary=u_opt,
     )
@@ -183,9 +187,7 @@ def gibbs_weights(energies, beta: float) -> np.ndarray:
 def thermal_state(hamiltonian, beta: float) -> np.ndarray:
     """Gibbs state exp(-beta H) / Z, with beta = +inf handled as a limit."""
     spec = hermitian_eigendecomposition(hamiltonian)
-    w = gibbs_weights(spec.eigenvalues, beta)
-    v = spec.eigenvectors
-    return (v * w) @ v.conj().T
+    return _spectral_sum(gibbs_weights(spec.eigenvalues, beta), spec)
 
 
 def thermal_final_state(h_total, h_free, beta: float):
@@ -202,7 +204,6 @@ def thermal_final_state(h_total, h_free, beta: float):
         raise ValidationError("dressed and bare Hamiltonians differ in dimension")
     w = gibbs_weights(dressed.eigenvalues, beta)
     # both spectra ascend, so the weights already pair passively
-    v = bare.eigenvectors
-    final = (v * w) @ v.conj().T
+    final = _spectral_sum(w, bare)
     unitary = bare.eigenvectors @ dressed.eigenvectors.conj().T
     return final, unitary

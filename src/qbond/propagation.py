@@ -37,7 +37,7 @@ from .operators import (
     hermitian_eigendecomposition,
     validate_density_matrix,
 )
-from .pulse_synthesis import PulseSchedule, _blocks, _dipole, _row_pairs
+from .pulse_synthesis import PulseSchedule, _blocks, _dipole
 
 STEPS_PER_SEGMENT = 200
 COMMUTATOR_ATOL = 1e-8
@@ -349,7 +349,8 @@ def simulate_schedule(
         running = np.flatnonzero(done_at < n_segs)
         running = running[segs.t_lo[done_at[running]] < times[running]]
         seg = done_at[running]
-        rows = _row_pairs(segs.k[seg], d)
+        k = segs.k[seg]
+        rows = np.stack([k - 1, k], axis=-1)
         sel = running[:, None]
         stack[sel, rows] = _blocks(segs.area(seg, times[running]), segs.phase[seg]) @ stack[sel, rows]
         # states U rho U^dag with at most three (samples, d, d) stacks alive

@@ -285,36 +285,34 @@ def givens_decompose(target) -> PulseSchedule:
     The eliminations run as a wavefront: elimination (col, row), which
     clears entry (row, col) into row + 1 (1-based), goes in layer
     t = row + 2 (d - col). Within a layer the rows step by 2 and the
-    columns by 1, so its row pairs are disjoint and form one contiguous
-    (m, 2, d) block of the work matrix, and its column entries sit
-    2 d + 1 apart in the flattened matrix. Every row still meets its
-    rotations in Reck order (columns last to first, rows top down within
-    a column), so 2 d - 3 batched steps do the work of the serial loop.
+    columns by 1, so its row pairs are disjoint and one batched product
+    rotates them all. Every row still meets its rotations in Reck order
+    (columns last to first, rows top down within a column), so 2 d - 3
+    batched steps do the work of the serial loop.
     """
     u = validate_unitary(as_square_matrix(target))
     d = u.shape[0]
     work = u.astype(complex)
-    flat = work.reshape(-1)
-    step = 2 * d + 1
     n = d * (d - 1) // 2
-    wave = np.empty((2, n))  # areas and phases in wavefront order
+    wave = np.empty((4, n))  # row, column, area and phase of each elimination, wavefront order
     done = 0
     for t in range(1, 2 * d - 2):
-        row = max(t - 2 * d + 4, 2 - t % 2)
-        m = (min(t, 2 * d - 2 - t) - row) // 2 + 1
-        start = (row - 1) * d + d - 1 - (t - row) // 2
-        upper = flat[start : start + m * step : step]
-        lower = flat[start + d : start + d + m * step : step]
+        rows = np.arange(max(t - 2 * d + 4, 2 - t % 2), min(t, 2 * d - 2 - t) + 1, 2)
+        cols = d - (t - rows) // 2
+        # splitting the row axis gives a view in any memory layout
+        pairs = work[rows[0] - 1 : rows[-1] + 1].reshape(len(rows), 2, d)
+        # pair j's entries sit in column cols[0] + j
+        upper = pairs[:, 0, cols[0] - 1 :].diagonal()
+        lower = pairs[:, 1, cols[0] - 1 :].diagonal()
         r_up = np.abs(upper)
         # entries at or below ELIMINATION_ATOL are already eliminated; their rows stay untouched,
         # since even an identity block can flip the sign of a zero whose angle sets a later phase
         live = r_up > ELIMINATION_ATOL
         area = np.arctan2(r_up, np.abs(lower)) * live
         phase = _wrap_angle(np.angle(upper) - np.angle(lower) + math.pi / 2)
-        pairs = work[row - 1 : row - 1 + 2 * m].reshape(m, 2, d)
         pairs[live] = _blocks(area[live], phase[live]) @ pairs[live]
-        wave[:, done : done + m] = area, phase
-        done += m
+        wave[:, done : done + len(rows)] = rows, cols, area, phase
+        done += len(rows)
 
     off_diag = work - np.diag(np.diag(work))
     worst = float(np.abs(off_diag).max()) if d > 1 else 0.0
@@ -327,16 +325,15 @@ def givens_decompose(target) -> PulseSchedule:
     residual = -np.angle(diagonal)
 
     # Reck order: columns last to first, rows top down; a kept elimination has area > 0
-    cols = np.repeat(np.arange(d, 1, -1), np.arange(d - 1, 0, -1))
-    rows = np.arange(n) - (d * (d - 1) - cols * (cols - 1)) // 2 + 1
-    reck = np.empty((2, n))
-    reck[:, np.lexsort((rows, rows + 2 * (d - cols)))] = wave
-    keep = np.flatnonzero(reck[0] > 0.0)[::-1]
+    rows, _, areas, phases = wave[:, np.lexsort((wave[0], -wave[1]))]
+    keep = np.flatnonzero(areas > 0.0)[::-1]
     # the schedule applies the adjoint eliminations in reverse: same area, phase shifted by pi
     pulses = [
         ScheduledPulse(pulse=TransitionPulse(transition=(k, k + 1), area=a, phase=p))
         for k, a, p in zip(
-            rows[keep].tolist(), reck[0, keep].tolist(), _wrap_angle(reck[1, keep] + math.pi).tolist()
+            rows[keep].astype(int).tolist(),
+            areas[keep].tolist(),
+            _wrap_angle(phases[keep] + math.pi).tolist(),
         )
     ]
     return PulseSchedule(pulses=pulses, residual_phases=residual)

@@ -203,3 +203,14 @@ def test_thermal_final_state_places_dressed_weights_on_bare_levels():
     assert np.abs(u @ rho_dressed @ u.conj().T - final).max() < 1e-10
     # generally different from the bare-basis thermal state
     assert np.abs(final - thermal_state(h_free, beta)).max() > 1e-6
+
+
+def test_binding_energy_accepts_density_at_the_tolerance_edge():
+    # trace 1 + 0.95e-10 and an eigenvalue of -0.95e-10 pass the density check;
+    # the clipped populations then sum to 1 + 1.9e-10, which binding_energy keeps
+    eps = 0.95e-10
+    rho0 = np.diag([0.5 + eps, 0.5 + eps, -eps])
+    validate_density_matrix(rho0)
+    report = binding_energy(rho0, np.diag([0.0, 1.0, 2.0]), np.zeros((3, 3)))
+    assert abs(report.delta_u_be - 2 * eps) < 1e-15
+    assert abs(np.trace(report.passive_state).real - (1.0 + 2 * eps)) < 1e-15

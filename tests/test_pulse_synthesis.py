@@ -407,3 +407,21 @@ def test_reconstruct_rejects_transition_beyond_dimension():
     outside = ScheduledPulse(pulse=_pulse(3, 0.4, 0.2))
     with pytest.raises(ValidationError, match="exceeds dimension 3"):
         PulseSchedule(pulses=[inside, outside, inside], residual_phases=np.zeros(3)).reconstruct()
+
+
+def test_wavefront_does_not_depend_on_memory_layout():
+    # transposes are F-ordered, reversed rows have negative strides; the decomposition
+    # must not depend on memory layout
+    rng = np.random.default_rng(83)
+    for d in range(3, 9):
+        u = random_unitary(rng, d)
+        for target in (u.T, u.conj().T, u[::-1], u.T[::-1, ::-1]):
+            assert not target.flags.c_contiguous
+            sched = givens_decompose(target)
+            pulses, residual = reck_decompose(np.ascontiguousarray(target))
+            assert [sp.pulse.transition for sp in sched.pulses] == [t for t, _, _ in pulses]
+            got = np.array([(sp.pulse.area, sp.pulse.phase) for sp in sched.pulses])
+            want = np.array([(a, p) for _, a, p in pulses])
+            assert np.abs(got - want).max() <= 1e-12
+            assert np.abs(sched.residual_phases - residual).max() <= 1e-12
+            assert np.abs(schedule(target, SYM).reconstruct() - target).max() < 1e-10
