@@ -8,14 +8,20 @@ sharing the same calling shape:
 plus `--tol X` (a finite Hermiticity tolerance above zero) on binding only.
 The problem file is {"mode": <mode>, "payload": {...}}; the mode in the
 file must match the subcommand and its numbers must be finite. Outputs are
-deterministic files with fixed names. Exit codes: 0 on success, 2 on
-validation errors (bad schema, unphysical input), 3 on numerical failure
-(non-convergence).
+deterministic files with fixed names. Every output of a call is encoded
+before any is written, and JSON reports are strict: a non-finite number
+in one writes nothing. Exit codes: 0 on success, 2 on validation errors
+(bad schema, unphysical input), 3 on numerical failure (non-convergence,
+a non-finite report value, a trajectory past its memory budget).
+
+The argparse tree is built once per process, on the first call to main,
+and reused by every later call; parse_args keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -60,36 +66,47 @@ def _load_problem(path: str, mode: str) -> dict:
     return doc["payload"]
 
 
-def _write(outdir: str, name: str, content) -> str:
+def _write(outdir: str, outputs: list[tuple[str, object]]) -> list[str]:
+    """Write (name, content) outputs under outdir and return their paths.
+
+    A str is written as it is; anything else is one strict JSON document
+    (indent 2, trailing newline). Every output is encoded first, so a
+    document holding NaN or an infinity raises NumericalError naming it
+    and nothing is written.
+    """
+    texts = []
+    for name, content in outputs:
+        if not isinstance(content, str):
+            try:
+                content = json.dumps(content, indent=2, allow_nan=False) + "\n"
+            except ValueError as exc:
+                raise NumericalError(f"{name} not written: {exc}") from exc
+        texts.append((os.path.join(outdir, name), content))
     os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(content, str):
-            fh.write(content)
-        else:
-            json.dump(content, fh, indent=2)
-            fh.write("\n")
-    return path
+    for path, text in texts:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return [path for path, _ in texts]
 
 
-def run_binding(payload: dict, args) -> list[str]:
+def run_binding(payload: dict, args) -> list[tuple[str, object]]:
     ser.require_keys(payload, {"rho0", "h_free", "h_int"}, what="binding payload")
     rho0 = ser.matrix_from_json(payload["rho0"], what="rho0")
     h_free = ser.matrix_from_json(payload["h_free"], what="h_free")
     h_int = ser.matrix_from_json(payload["h_int"], what="h_int")
     report = binding_mod.binding_energy(rho0, h_free, h_int, atol=args.tol)
-    written = [_write(args.out, "binding_report.json", ser.binding_report_to_json(report))]
+    outputs = [("binding_report.json", ser.binding_report_to_json(report))]
     if args.format == "csv":
         spec = hermitian_eigendecomposition(h_free)
         pops = np.real(np.diag(spec.eigenvectors.conj().T @ report.passive_state @ spec.eigenvectors))
         lines = ["level,energy,population"]
         for k, (e, p) in enumerate(zip(spec.eigenvalues, pops), start=1):
             lines.append(f"{k},{float(e)!r},{float(p)!r}")
-        written.append(_write(args.out, "binding_levels.csv", "\n".join(lines) + "\n"))
-    return written
+        outputs.append(("binding_levels.csv", "\n".join(lines) + "\n"))
+    return outputs
 
 
-def run_jc(payload: dict, args) -> list[str]:
+def run_jc(payload: dict, args) -> list[tuple[str, object]]:
     ser.require_keys(
         payload,
         {"omega_a", "omega_b", "g", "initial"},
@@ -125,16 +142,16 @@ def run_jc(payload: dict, args) -> list[str]:
             "accumulated_angle": flight.accumulated_angle,
             "dissociates": flight.dissociates,
         }
-    written = [_write(args.out, "jc_report.json", doc)]
+    outputs = [("jc_report.json", doc)]
     if args.format == "csv":
         lines = ["label,energy"]
         for lab, e in zip(basis.labels, basis.energies):
             lines.append(f"{lab},{float(e)!r}")
-        written.append(_write(args.out, "jc_levels.csv", "\n".join(lines) + "\n"))
-    return written
+        outputs.append(("jc_levels.csv", "\n".join(lines) + "\n"))
+    return outputs
 
 
-def run_well(payload: dict, args) -> list[str]:
+def run_well(payload: dict, args) -> list[tuple[str, object]]:
     ser.require_keys(
         payload, {"a", "b", "v0", "v0_prime"}, optional={"mass"}, what="well payload"
     )
@@ -184,10 +201,10 @@ def run_well(payload: dict, args) -> list[str]:
         "tunneling_count": sum(1 for s in states if s.kind == well_mod.KIND_TUNNELING),
         "levels": levels_doc,
     }
-    written = [_write(args.out, "well_levels.csv", ser.well_levels_csv(rows))]
+    outputs = [("well_levels.csv", ser.well_levels_csv(rows))]
     if args.format == "json":
-        written.append(_write(args.out, "well_report.json", doc))
-    return written
+        outputs.append(("well_report.json", doc))
+    return outputs
 
 
 def _constraints_from_payload(obj) -> synth_mod.PulseConstraints:
@@ -209,19 +226,19 @@ def _dipoles_from_payload(obj):
     return {int(k): ser._number(v, "payload", "dipoles") for k, v in obj.items()}
 
 
-def run_synth(payload: dict, args) -> list[str]:
+def run_synth(payload: dict, args) -> list[tuple[str, object]]:
     ser.require_keys(payload, {"target", "constraints"}, optional={"dipoles"}, what="synth payload")
     target = ser.matrix_from_json(payload["target"], what="target")
     constraints = _constraints_from_payload(payload["constraints"])
     dipoles = _dipoles_from_payload(payload.get("dipoles"))
     sched = synth_mod.schedule(target, constraints, dipoles=dipoles)
     return [
-        _write(args.out, "schedule.json", ser.schedule_to_json(sched)),
-        _write(args.out, "envelope.csv", ser.envelope_csv(sched)),
+        ("schedule.json", ser.schedule_to_json(sched)),
+        ("envelope.csv", ser.envelope_csv(sched)),
     ]
 
 
-def run_simulate(payload: dict, args) -> list[str]:
+def run_simulate(payload: dict, args) -> list[tuple[str, object]]:
     ser.require_keys(
         payload,
         {"schedule"},
@@ -245,16 +262,11 @@ def run_simulate(payload: dict, args) -> list[str]:
         "final_unitary": ser.matrix_to_json(u),
         "fidelity_to_target": result.fidelity_to_target,
     }
-    written = [_write(args.out, "simulate_report.json", doc)]
+    outputs = [("simulate_report.json", doc)]
     if rho0 is not None and result.state_trajectory:
-        written.append(
-            _write(
-                args.out,
-                "trajectory.csv",
-                ser.trajectory_csv(result.times, result.state_trajectory, result.energy_trajectory),
-            )
-        )
-    return written
+        table = ser.trajectory_csv(result.times, result.state_trajectory, result.energy_trajectory)
+        outputs.append(("trajectory.csv", table))
+    return outputs
 
 
 def _tolerance(text: str) -> float:
@@ -273,6 +285,7 @@ RUNNERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbond",
@@ -299,7 +312,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload = _load_problem(args.infile, args.mode)
-        written = RUNNERS[args.mode](payload, args)
+        written = _write(args.out, RUNNERS[args.mode](payload, args))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .operators import (
     HERMITIAN_ATOL,
     as_square_matrix,
@@ -44,6 +44,8 @@ COMMUTATOR_ATOL = 1e-8
 POPULATION_ATOL = 1e-10
 DEGENERACY_ATOL = 1e-10
 TRAJECTORY_SAMPLES = 201
+# the rho0 trajectory's three (samples, d, d) complex stacks may take this much
+TRAJECTORY_BUDGET_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -302,7 +304,9 @@ def simulate_schedule(
     steps_per_segment does; it has no effect on accuracy. A segment still
     playing at a sample time contributes the closed-form area of its linear
     ramp up to that time. The states are views into one (samples, d, d)
-    array.
+    array. Playback holds three such stacks at once, so 3 * samples * d**2 *
+    16 bytes are estimated before any is allocated, and an estimate past
+    TRAJECTORY_BUDGET_BYTES raises NumericalError.
     """
     if (
         isinstance(steps_per_segment, bool)
@@ -335,6 +339,12 @@ def simulate_schedule(
             raise ValidationError(f"steps_per_segment {s} makes {n_steps} grid steps, over 2**53")
         q, j = np.divmod(_sample_picks(n_steps, samples), s)
         times = np.unique(j * np.append(np.diff(knots) / s, 0.0)[q] + knots[q])
+        need = 3 * len(times) * d * d * np.dtype(complex).itemsize
+        if need > TRAJECTORY_BUDGET_BYTES:
+            raise NumericalError(
+                f"the rho0 trajectory needs {need} bytes ({len(times)} samples at d = {d}), "
+                f"over TRAJECTORY_BUDGET_BYTES = {TRAJECTORY_BUDGET_BYTES}"
+            )
         # propagator at each sample time: finished segments now, the running one below
         stack = np.empty((len(times), d, d), dtype=complex)
         done_at = np.empty(len(times), dtype=int)

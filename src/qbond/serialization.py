@@ -205,13 +205,20 @@ def envelope_csv(sched: PulseSchedule) -> str:
 
 
 def trajectory_csv(times, states, energies) -> str:
-    """Trajectory table (t, U_energy, purity, populations...)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    d = states[0].shape[0] if states else 0
-    writer.writerow(["t", "U_energy", "purity"] + [f"pop_{k + 1}" for k in range(d)])
-    for t, rho, e in zip(times, states, energies):
-        purity = float(np.trace(rho @ rho).real)
-        pops = [repr(float(rho[k, k].real)) for k in range(d)]
-        writer.writerow([repr(float(t)), repr(float(e)), repr(purity)] + pops)
-    return buf.getvalue()
+    """Trajectory table (t, U_energy, purity, pop_1 ... pop_d), one row per sample.
+
+    states is a sequence of d x d density matrices (a list of them or one
+    (samples, d, d) array), stacked once. With S the stack, the columns are
+    t = times, U_energy = energies, purity = Re Tr(S_i S_i) (one batched
+    product, then np.trace over the last two axes) and pop_k = Re S_i[k-1, k-1]
+    (one diagonal view). Every number is written as its float repr.
+    """
+    d = len(states[0]) if len(states) else 0
+    lines = [",".join(["t", "U_energy", "purity"] + [f"pop_{k + 1}" for k in range(d)])]
+    if d:
+        stack = np.asarray(states)
+        purity = np.trace(stack @ stack, axis1=1, axis2=2).real
+        pops = stack.diagonal(axis1=1, axis2=2).real
+        rows = np.column_stack((times, energies, purity, pops)).tolist()
+        lines += [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"

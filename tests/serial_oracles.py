@@ -1,12 +1,15 @@
-"""Serial reference implementations of the batched pulse-block routes.
+"""Serial reference implementations of the batched routes.
 
 givens_decompose runs its eliminations as a wavefront of batched
-rotations and simulate_schedule samples its trajectory in one batched
-pass. The loops below do the same work one rotation and one sample at a
-time, with scalar arithmetic, so the tests can compare the two.
+rotations, simulate_schedule samples its trajectory in one batched pass
+and trajectory_csv formats whole columns. The loops below do the same work
+one rotation, one sample and one row at a time, so the tests can compare
+the two.
 """
 
 import cmath
+import csv
+import io
 import math
 
 import numpy as np
@@ -109,3 +112,16 @@ def serial_trajectory(sched, rho, times, dipole=None):
     for seg in segments[done:]:
         rotate_rows(u, seg[2], area(seg, seg[1]), seg[4])
     return u, states, np.array(energies)
+
+
+def trajectory_csv_rows(times, states, energies):
+    """trajectory.csv written row by row through csv.writer, one np.trace(rho @ rho) per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    d = states[0].shape[0] if states else 0
+    writer.writerow(["t", "U_energy", "purity"] + [f"pop_{k + 1}" for k in range(d)])
+    for t, rho, e in zip(times, states, energies):
+        purity = float(np.trace(rho @ rho).real)
+        pops = [repr(float(rho[k, k].real)) for k in range(d)]
+        writer.writerow([repr(float(t)), repr(float(e)), repr(purity)] + pops)
+    return buf.getvalue()

@@ -5,7 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from qbond.cli import main
+import qbond.binding
+import qbond.serialization
+from qbond.cli import build_parser, main
+from qbond.operators import HERMITIAN_ATOL
+from qbond.propagation import TRAJECTORY_BUDGET_BYTES, TRAJECTORY_SAMPLES
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
 
@@ -361,3 +365,62 @@ def test_qbond_tol_environment_variable_is_ignored(tmp_path, monkeypatch):
     problem = os.path.join(PROBLEMS, "well_standard.json")
     assert main(["well", "--in", problem, "--out", str(tmp_path)]) == 0
 
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    seen = []
+    original = qbond.binding.binding_energy
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["atol"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qbond.binding, "binding_energy", recording)
+    problem = os.path.join(PROBLEMS, "binding_singlet.json")
+    assert main(["binding", "--in", problem, "--out", str(tmp_path / "a"), "--tol", "1e-6", "--format", "csv"]) == 0
+    assert main(["binding", "--in", problem, "--out", str(tmp_path / "b")]) == 0
+    assert seen == [1e-6, HERMITIAN_ATOL]
+    assert sorted(os.listdir(tmp_path / "b")) == ["binding_report.json"]
+    for bad in (["binding", "--in", problem, "--tol", "nan"], ["binding", "--format", "csv"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["binding", "--in", problem, "--out", str(tmp_path / "c")]) == 0
+    assert seen[-1] == HERMITIAN_ATOL
+    assert capsys.readouterr().out == os.path.join(str(tmp_path / "c"), "binding_report.json") + "\n"
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_report_value_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch, value):
+    original = qbond.serialization.binding_report_to_json
+    monkeypatch.setattr(
+        qbond.serialization, "binding_report_to_json", lambda report: {**original(report), "delta_u_be": value}
+    )
+    problem = os.path.join(PROBLEMS, "binding_singlet.json")
+    outdir = tmp_path / "out"
+    assert main(["binding", "--in", problem, "--out", str(outdir), "--format", "csv"]) == 3
+    err = capsys.readouterr().err
+    assert "binding_report.json" in err
+    assert "Traceback" not in err
+    assert not outdir.exists()
+
+
+def test_trajectory_past_memory_budget_exits_3(tmp_path, capsys):
+    # the smallest d whose three (201, d, d) complex stacks exceed the budget
+    d = math.isqrt(TRAJECTORY_BUDGET_BYTES // (3 * TRAJECTORY_SAMPLES * 16)) + 1
+
+    def widen(payload):
+        del payload["target"]
+        payload["schedule"]["residual_phases"] = [0.0] * d
+        zeros = [[0.0] * d for _ in range(d)]
+        payload["rho0"] = {"dim": d, "re": [[float(i == j == 0) for j in range(d)] for i in range(d)], "im": zeros}
+
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(_edited("simulate_half_swap.json", widen)))
+    outdir = tmp_path / "out"
+    assert main(["simulate", "--in", str(f), "--out", str(outdir), "--format", "csv"]) == 3
+    err = capsys.readouterr().err
+    assert "TRAJECTORY_BUDGET_BYTES" in err
+    assert "Traceback" not in err
+    assert not outdir.exists()

@@ -9,9 +9,11 @@ import pytest
 from scipy.linalg import expm
 
 from qbond.binding import binding_energy, passive_state, thermal_state
-from qbond.errors import ValidationError
+from qbond.errors import NumericalError, ValidationError
 from qbond.operators import hermitian_eigendecomposition
 from qbond.propagation import (
+    TRAJECTORY_BUDGET_BYTES,
+    TRAJECTORY_SAMPLES,
     TimeGrid,
     evolve_density,
     evolve_unitary,
@@ -391,6 +393,24 @@ def test_simulate_schedule_d32_in_bounded_memory():
         tracemalloc.stop()
     assert 1.0 - result.fidelity_to_target <= 1e-9
     assert peak < 20e6
+
+
+def test_trajectory_past_memory_budget_raises_before_allocating():
+    # the smallest d whose three (201, d, d) complex stacks exceed the budget
+    d = math.isqrt(TRAJECTORY_BUDGET_BYTES // (3 * TRAJECTORY_SAMPLES * 16)) + 1
+    swap = schedule(np.array([[0.0, 1.0], [1.0, 0.0]]), SYM)
+    one_pulse = dataclasses.replace(swap, pulses=swap.pulses[:1], residual_phases=np.zeros(d))
+    rho0 = np.zeros((d, d))
+    rho0[0, 0] = 1.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match="TRAJECTORY_BUDGET_BYTES"):
+            simulate_schedule(one_pulse, rho0=rho0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one stack alone would be 201 * d**2 * 16 bytes, about 360 MB
+    assert peak < 50e6
 
 
 def test_energy_bookkeeping_full_run():

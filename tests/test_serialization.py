@@ -5,6 +5,7 @@ import pytest
 
 from qbond.binding import binding_energy
 from qbond.errors import ValidationError
+from qbond.propagation import simulate_schedule
 from qbond.pulse_synthesis import PulseConstraints, schedule
 from qbond.serialization import (
     binding_report_to_json,
@@ -19,6 +20,7 @@ from qbond.serialization import (
 )
 
 from helpers import random_density, random_hermitian, random_unitary
+from serial_oracles import trajectory_csv_rows
 
 
 def test_require_keys_strictness():
@@ -207,3 +209,26 @@ def test_trajectory_csv_layout():
     assert float(first[2]) == 1.0
     second = lines[2].split(",")
     assert float(second[2]) == 0.5
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 32])
+def test_trajectory_csv_matches_row_by_row_oracle(d):
+    rng = np.random.default_rng(900 + d)
+    sched = schedule(random_unitary(rng, d), PulseConstraints(amplitude_max=1.0))
+    played = simulate_schedule(sched, rho0=random_density(rng, d))
+    n = 201
+    random_stack = np.array([random_density(rng, d, rank=1 + k % d) for k in range(n)])
+    trajectories = [
+        (played.times, played.state_trajectory, played.energy_trajectory),
+        (np.sort(rng.uniform(0.0, 3.0, n)), list(random_stack), rng.standard_normal(n) * 1e-9),
+    ]
+    for times, states, energies in trajectories:
+        expected = trajectory_csv_rows(times, states, energies)
+        assert expected.count("\n") == len(times) + 1
+        assert trajectory_csv(times, states, energies) == expected
+        assert trajectory_csv(times, np.array(states), energies) == expected
+        assert trajectory_csv(list(times), states, list(energies)) == expected
+
+
+def test_trajectory_csv_of_no_samples_is_the_header():
+    assert trajectory_csv([], [], []) == trajectory_csv_rows([], [], []) == "t,U_energy,purity\n"
