@@ -48,12 +48,7 @@ from .operators import (
 )
 from .propagation import (
     PropagationResult,
-    TimeGrid,
-    evolve_density,
-    evolve_unitary,
     fidelity,
-    rwa_interaction,
-    schedule_hamiltonian,
     simulate_schedule,
     verify_passive,
 )
@@ -63,7 +58,6 @@ from .pulse_synthesis import (
     PulseShape,
     ScheduledPulse,
     TransitionPulse,
-    adjoint_pulse,
     area_phase_from_column,
     givens_decompose,
     pulse_unitary,
@@ -100,12 +94,10 @@ __all__ = [
     "PulseShape",
     "ScheduledPulse",
     "SpectralDecomposition",
-    "TimeGrid",
     "TransitionPulse",
     "TunnelingEstimate",
     "ValidationError",
     "WellGeometry",
-    "adjoint_pulse",
     "area_phase_from_column",
     "average_energy",
     "bare_energies",
@@ -118,8 +110,6 @@ __all__ = [
     "dressed_states",
     "dressed_vector",
     "energy_bounds",
-    "evolve_density",
-    "evolve_unitary",
     "excitation_plan",
     "fidelity",
     "flight_phase",
@@ -132,9 +122,7 @@ __all__ = [
     "partial_trace",
     "passive_state",
     "pulse_unitary",
-    "rwa_interaction",
     "schedule",
-    "schedule_hamiltonian",
     "shape_pulse",
     "simulate_schedule",
     "tensor_product",

@@ -11,8 +11,9 @@ file must match the subcommand and its numbers must be finite. Outputs are
 deterministic files with fixed names. Every output of a call is encoded
 before any is written, and JSON reports are strict: a non-finite number
 in one writes nothing. Exit codes: 0 on success, 2 on validation errors
-(bad schema, unphysical input), 3 on numerical failure (non-convergence,
-a non-finite report value, a trajectory past its memory budget).
+(bad schema, unphysical input, an output path that cannot be written), 3
+on numerical failure (non-convergence, a non-finite report value, a
+trajectory past its memory budget).
 
 The argparse tree is built once per process, on the first call to main,
 and reused by every later call; parse_args keeps no state between calls.
@@ -72,7 +73,8 @@ def _write(outdir: str, outputs: list[tuple[str, object]]) -> list[str]:
     A str is written as it is; anything else is one strict JSON document
     (indent 2, trailing newline). Every output is encoded first, so a
     document holding NaN or an infinity raises NumericalError naming it
-    and nothing is written.
+    and nothing is written. An OSError while writing (outdir is a file, or
+    under one) raises ValidationError naming the path.
     """
     texts = []
     for name, content in outputs:
@@ -82,10 +84,13 @@ def _write(outdir: str, outputs: list[tuple[str, object]]) -> list[str]:
             except ValueError as exc:
                 raise NumericalError(f"{name} not written: {exc}") from exc
         texts.append((os.path.join(outdir, name), content))
-    os.makedirs(outdir, exist_ok=True)
-    for path, text in texts:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        for path, text in texts:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write outputs to {outdir}: {exc}") from exc
     return [path for path, _ in texts]
 
 

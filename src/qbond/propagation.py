@@ -12,14 +12,12 @@ sampled on. With rho0, the propagator at each sample time is copied into a
 (samples, d, d) stack; one batched rotation adds the partial area of each
 sample's running segment, and one batched product gives the states, so the
 trajectory holds at most three such stacks. D is the dipole recorded on
-each pulse unless dipoles overrides it; it is never inferred.
+each pulse unless dipoles overrides it; it is never inferred. Each pulse
+starts at its PulseSchedule.start_times entry.
 
-evolve_unitary and evolve_density are the generic route for arbitrary,
-possibly non-commuting Hamiltonian callables. They multiply per-step
-exponentials exp(-i H(t_mid) dt), each computed from the spectral
-decomposition of the Hermitian midpoint generator, so every step is exactly
-unitary regardless of step size. rwa_interaction and schedule_hamiltonian
-express a schedule as such callables.
+This is the library's only route from an envelope to its propagator. The
+test suite checks it against a generic midpoint spectral integrator of
+the rotating-frame Hamiltonian, which the library does not ship.
 """
 
 from __future__ import annotations
@@ -31,12 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .operators import (
-    HERMITIAN_ATOL,
-    as_square_matrix,
-    hermitian_eigendecomposition,
-    validate_density_matrix,
-)
+from .operators import as_square_matrix, hermitian_eigendecomposition, validate_density_matrix
 from .pulse_synthesis import PulseSchedule, _blocks, _dipole
 
 STEPS_PER_SEGMENT = 200
@@ -48,38 +41,6 @@ TRAJECTORY_SAMPLES = 201
 TRAJECTORY_BUDGET_BYTES = 2**30
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Strictly increasing time points; steps run between neighbors."""
-
-    times: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or len(t) < 2:
-            raise ValidationError("a time grid needs at least two points")
-        if not np.all(np.diff(t) > 0):
-            raise ValidationError("time grid must be strictly increasing")
-        object.__setattr__(self, "times", t)
-
-    @classmethod
-    def uniform(cls, t_start: float, t_end: float, steps: int) -> "TimeGrid":
-        if steps < 1 or t_end <= t_start:
-            raise ValidationError(f"bad uniform grid: [{t_start}, {t_end}] with {steps} steps")
-        return cls(times=np.linspace(t_start, t_end, steps + 1))
-
-    @classmethod
-    def from_breakpoints(cls, knots, steps_per_segment: int = STEPS_PER_SEGMENT) -> "TimeGrid":
-        """Subdivide each interval between consecutive knots, keeping the knots."""
-        k = np.unique(np.asarray(knots, dtype=float))
-        if len(k) < 2:
-            raise ValidationError("need at least two distinct knots")
-        pieces = [
-            np.linspace(a, b, steps_per_segment + 1)[:-1] for a, b in zip(k[:-1], k[1:])
-        ]
-        return cls(times=np.append(np.concatenate(pieces), k[-1]))
-
-
 @dataclass
 class PropagationResult:
     final_unitary: np.ndarray
@@ -87,26 +48,6 @@ class PropagationResult:
     state_trajectory: list | None = None
     energy_trajectory: np.ndarray | None = None
     fidelity_to_target: float | None = None
-
-
-def _step_unitaries(h_of_t, times: np.ndarray) -> np.ndarray:
-    """Spectral exponentials exp(-i H(t_mid) dt) for every step of a time grid."""
-    h_stack = np.array([as_square_matrix(h_of_t(t)) for t in 0.5 * (times[:-1] + times[1:])])
-    drift = float(np.abs(h_stack - np.conj(np.swapaxes(h_stack, -1, -2))).max())
-    if drift > HERMITIAN_ATOL:
-        raise ValidationError(f"step generator departs from Hermitian by {drift:.3e}")
-    w, v = np.linalg.eigh(h_stack)
-    phases = np.exp(-1j * w * np.diff(times)[:, None])
-    return np.einsum("nij,nj,nkj->nik", v, phases, v.conj())
-
-
-def evolve_unitary(h_of_t, grid: TimeGrid) -> np.ndarray:
-    """Time-ordered propagator over the grid for a Hamiltonian callable h_of_t."""
-    steps = _step_unitaries(h_of_t, grid.times)
-    u = np.eye(steps.shape[1], dtype=complex)
-    for s in steps:
-        u = s @ u
-    return u
 
 
 def _sample_picks(n_steps: int, samples: int) -> np.ndarray:
@@ -119,82 +60,6 @@ def fidelity(u_a: np.ndarray, u_b: np.ndarray) -> float:
     a = as_square_matrix(u_a)
     b = as_square_matrix(u_b)
     return float(abs(np.trace(a.conj().T @ b)) / a.shape[0])
-
-
-def evolve_density(
-    rho0,
-    h_of_t,
-    grid: TimeGrid,
-    samples: int = TRAJECTORY_SAMPLES,
-    target=None,
-    h_measure=None,
-) -> PropagationResult:
-    """Propagate a density matrix, sampling the trajectory.
-
-    The state advances unitarily (rho(t) = U rho0 U^dag with U the
-    accumulated propagator), so purity and spectrum are preserved by
-    construction. energy_trajectory[i] is Tr[H(t_i) rho(t_i)] at the
-    sampled times. h_measure, when given, replaces h_of_t in that trace
-    only: dynamics in one frame, accounting in another (a rotating-frame
-    drive measured against the lab Hamiltonian is the typical pairing;
-    populations in the free eigenbasis agree between the frames).
-    """
-    rho = validate_density_matrix(rho0)
-    meter = h_of_t if h_measure is None else h_measure
-    times = grid.times
-    steps = _step_unitaries(h_of_t, times)
-    n_steps = len(steps)
-    picks = _sample_picks(n_steps, samples)
-    sample_times = times[picks]
-
-    states = []
-    energies = []
-    u = np.eye(rho.shape[0], dtype=complex)
-    cursor = 0
-    for idx in range(n_steps + 1):
-        if cursor < len(picks) and idx == picks[cursor]:
-            state = u @ rho @ u.conj().T
-            states.append(state)
-            energies.append(float(np.trace(meter(times[idx]) @ state).real))
-            cursor += 1
-        if idx < n_steps:
-            u = steps[idx] @ u
-
-    fid = fidelity(target, u) if target is not None else None
-    return PropagationResult(
-        final_unitary=u,
-        times=sample_times,
-        state_trajectory=states,
-        energy_trajectory=np.array(energies),
-        fidelity_to_target=fid,
-    )
-
-
-def rwa_interaction(pulse, shape, dipole: float, dimension: int):
-    """Rotating-frame generator of a shaped pulse as a Hamiltonian callable.
-
-    H(t) = -D a(t) (exp(i phi) |k><k+1| + exp(-i phi) |k+1><k|), with a(t)
-    the envelope measured above its baseline. Propagating this for the
-    full shape reproduces the closed-form pulse block with
-    C = D * realized_area; the baseline contribution is reported by the
-    shape, not folded into the rotation.
-    """
-    if shape is None:
-        raise ValidationError("pulse has no shape; synthesize envelopes before propagation")
-    k = pulse.transition[0]
-    if pulse.transition[1] > dimension:
-        raise ValidationError(f"transition {pulse.transition} exceeds dimension {dimension}")
-    base = shape.baseline
-
-    def h_of_t(t: float) -> np.ndarray:
-        h = np.zeros((dimension, dimension), dtype=complex)
-        amp = shape.amplitude_at(t) - base
-        # the minus sign pairs with the +i e^{i phi} sin C block entry
-        h[k - 1, k] = -dipole * amp * np.exp(1j * pulse.phase)
-        h[k, k - 1] = np.conj(h[k - 1, k])
-        return h
-
-    return h_of_t
 
 
 class _Segments(NamedTuple):
@@ -231,15 +96,14 @@ class _Segments(NamedTuple):
 
 
 def _segments(sched: PulseSchedule, dipoles) -> _Segments:
-    """Envelope segments of positive width, pulses back to back from t = 0.
+    """Envelope segments of positive width, each pulse from its start_times entry.
 
     Amplitudes are read from the breakpoints of each shape, never from its
     stored realized_area.
     """
     d = sched.dimension
-    offset = 0.0
     pieces = []
-    for sp in sched.pulses:
+    for sp, offset in zip(sched.pulses, sched.start_times.tolist()):
         shape = sp.shape
         if shape is None:
             raise ValidationError("schedule contains unshaped pulses; run shaping first")
@@ -253,7 +117,6 @@ def _segments(sched: PulseSchedule, dipoles) -> _Segments:
                 raise ValidationError(f"breakpoint times must not decrease, got {t0} then {t1}")
             if t1 > t0:
                 pieces.append((offset + t0, offset + t1, k, d_k, sp.pulse.phase, a0 - base, a1 - base))
-        offset += shape.duration
     columns = np.array(pieces, dtype=float).reshape(-1, 7).T
     return _Segments(columns[0], columns[1], columns[2].astype(int), *columns[3:])
 
@@ -262,8 +125,7 @@ def _drive_energies(segs: _Segments, done: np.ndarray, times: np.ndarray, states
     """Tr[H(t) state] for the rotating-frame drive at each sample time.
 
     done[i] segments have finished by times[i]. At a boundary the earlier
-    segment applies, as in schedule_hamiltonian; outside every segment H
-    is zero.
+    segment applies; outside every segment H is zero.
     """
     n = len(segs.k)
     if n == 0:
@@ -379,32 +241,6 @@ def simulate_schedule(
         reference = as_square_matrix(target) @ sched.residual_matrix()
         result.fidelity_to_target = fidelity(reference, u)
     return result
-
-
-def schedule_hamiltonian(sched: PulseSchedule, dipoles=None):
-    """Whole-schedule Hamiltonian callable (pulses back to back).
-
-    Evaluating between pulses (or outside the schedule) returns the zero
-    generator; inside a pulse the rotating-frame generator of that pulse
-    applies with its local clock. Dipoles are as in simulate_schedule.
-    """
-    d = sched.dimension
-    spans = []
-    t0 = 0.0
-    for sp in sched.pulses:
-        dur = sp.shape.duration if sp.shape else 0.0
-        d_k = _dipole(dipoles, sp.pulse.transition[0], sp.dipole)
-        gen = rwa_interaction(sp.pulse, sp.shape, d_k, d)
-        spans.append((t0, t0 + dur, gen))
-        t0 += dur
-
-    def h_of_t(t: float) -> np.ndarray:
-        for lo, hi, gen in spans:
-            if lo <= t <= hi and hi > lo:
-                return gen(t - lo)
-        return np.zeros((d, d), dtype=complex)
-
-    return h_of_t
 
 
 def verify_passive(rho, h_free) -> tuple[bool, dict]:

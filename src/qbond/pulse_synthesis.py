@@ -34,7 +34,8 @@ returned as residual phases rather than synthesized.
 Shaping turns each area into a minimum-duration piecewise-linear envelope
 under amplitude and slew bounds: a triangle when the required peak stays
 below the cap, otherwise a trapezoid riding at the cap. Each shaped pulse
-records the dipole D_k it was shaped for.
+records the dipole D_k it was shaped for. Pulses play back to back:
+PulseSchedule.start_times is the one clock that places them in time.
 """
 
 from __future__ import annotations
@@ -133,14 +134,6 @@ class PulseShape:
     def baseline_leakage(self) -> float:
         return self.baseline * self.duration
 
-    def amplitude_at(self, t: float) -> float:
-        """Envelope value by linear interpolation; baseline outside the support."""
-        if not self.breakpoints:
-            return 0.0
-        times = [b[0] for b in self.breakpoints]
-        values = [b[1] for b in self.breakpoints]
-        return float(np.interp(t, times, values))
-
 
 @dataclass(frozen=True)
 class ScheduledPulse:
@@ -172,13 +165,23 @@ class PulseSchedule:
         return len(self.residual_phases)
 
     @property
+    def start_times(self) -> np.ndarray:
+        """When each pulse starts: back to back from t = 0, an unshaped pulse taking no time.
+
+        Entry i is 0.0 plus the durations of pulses 0 .. i-1, added one after
+        another (np.cumsum is a sequential running sum). This is the one
+        schedule clock: total_time, playback and envelope.csv all read it.
+        """
+        durations = [0.0 if sp.shape is None else sp.shape.duration for sp in self.pulses]
+        return np.cumsum([0.0, *durations])[:-1]
+
+    @property
     def total_time(self) -> float:
-        """Pulses back to back: the shape durations added in order, 0.0 when none is shaped."""
-        total = 0.0
-        for sp in self.pulses:
-            if sp.shape is not None:
-                total += sp.shape.duration
-        return total
+        """End of the last pulse on the start_times clock, 0.0 when none is shaped."""
+        if not self.pulses:
+            return 0.0
+        last = self.pulses[-1].shape
+        return float(self.start_times[-1] + (0.0 if last is None else last.duration))
 
     def residual_matrix(self) -> np.ndarray:
         return np.diag(np.exp(1j * np.asarray(self.residual_phases)))
@@ -245,13 +248,6 @@ def pulse_unitary(pulse: TransitionPulse, dimension: int) -> np.ndarray:
     return u
 
 
-def adjoint_pulse(pulse: TransitionPulse) -> TransitionPulse:
-    """Inverse rotation as another pulse: same area, carrier phase shifted by pi."""
-    return TransitionPulse(
-        transition=pulse.transition, area=pulse.area, phase=float(_wrap_angle(pulse.phase + math.pi))
-    )
-
-
 def area_phase_from_column(column, k: int) -> tuple[float, float]:
     """Pulse angles that clear a column entry into its upper neighbor.
 
@@ -288,7 +284,9 @@ def givens_decompose(target) -> PulseSchedule:
     columns by 1, so its row pairs are disjoint and one batched product
     rotates them all. Every row still meets its rotations in Reck order
     (columns last to first, rows top down within a column), so 2 d - 3
-    batched steps do the work of the serial loop.
+    batched steps do the work of the serial loop. A lower entry at or below
+    ELIMINATION_ATOL counts as angle 0, so neither the sign of a zero nor
+    roundoff noise reaches a phase.
     """
     u = validate_unitary(as_square_matrix(target))
     d = u.shape[0]
@@ -308,8 +306,10 @@ def givens_decompose(target) -> PulseSchedule:
         # entries at or below ELIMINATION_ATOL are already eliminated; their rows stay untouched,
         # since even an identity block can flip the sign of a zero whose angle sets a later phase
         live = r_up > ELIMINATION_ATOL
-        area = np.arctan2(r_up, np.abs(lower)) * live
-        phase = _wrap_angle(np.angle(upper) - np.angle(lower) + math.pi / 2)
+        r_lo = np.abs(lower)
+        area = np.arctan2(r_up, r_lo) * live
+        lower_angle = np.where(r_lo > ELIMINATION_ATOL, np.angle(lower), 0.0)
+        phase = _wrap_angle(np.angle(upper) - lower_angle + math.pi / 2)
         pairs[live] = _blocks(area[live], phase[live]) @ pairs[live]
         wave[:, done : done + len(rows)] = rows, cols, area, phase
         done += len(rows)
@@ -387,16 +387,6 @@ def shape_pulse(area_required: float, constraints: PulseConstraints) -> PulseSha
         )
         realized = 0.5 * cap * cap * ramp_factor + cap * plateau
     return PulseShape(breakpoints=points, duration=duration, realized_area=realized)
-
-
-def triangle_duration(area: float, slew: float) -> float:
-    """Closed-form minimal duration below the cap, symmetric slews."""
-    return 2.0 * math.sqrt(area / slew)
-
-
-def trapezoid_duration(area: float, cap: float, slew: float) -> float:
-    """Closed-form minimal duration at the cap, symmetric slews."""
-    return cap / slew + area / cap
 
 
 def schedule(target, constraints, dipoles=None) -> PulseSchedule:

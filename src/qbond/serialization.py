@@ -187,20 +187,18 @@ def envelope_csv(sched: PulseSchedule) -> str:
     """Envelope breakpoints (time, amplitude, transition) on the schedule timeline.
 
     Envelopes are piecewise linear, so one row per breakpoint describes
-    them exactly; each pulse's times are offset by the durations before it.
+    them exactly; each pulse's times are offset by its start_times entry.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["time", "amplitude", "transition"])
-    offset = 0.0
-    for sp in sched.pulses:
+    for sp, offset in zip(sched.pulses, sched.start_times.tolist()):
         shape = sp.shape
         if shape is None or not shape.breakpoints:
             continue
         label = "{}-{}".format(*sp.pulse.transition)
         for t, amp in shape.breakpoints:
             writer.writerow([repr(float(offset + t)), repr(float(amp)), label])
-        offset += shape.duration
     return buf.getvalue()
 
 

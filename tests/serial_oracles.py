@@ -36,7 +36,8 @@ def reck_decompose(target):
     """Serial Reck loop: (transition, area, phase) of the schedule's pulses and the residual phases.
 
     Columns are cleared from last to first, rows top down within a column;
-    each entry on row k is rotated into row k+1. The schedule applies the
+    each entry on row k is rotated into row k+1, and a lower entry at or
+    below ELIMINATION_ATOL counts as angle 0. The schedule applies the
     adjoint eliminations in reverse order.
     """
     work = np.array(target, dtype=complex)
@@ -48,7 +49,9 @@ def reck_decompose(target):
             if abs(upper) <= ELIMINATION_ATOL:
                 continue
             area = math.atan2(abs(upper), abs(lower))
-            phase = wrap_angle(np.angle(upper) - np.angle(lower) + math.pi / 2)
+            # a lower entry that is zero to roundoff has angle 0
+            lower_angle = np.angle(lower) if abs(lower) > ELIMINATION_ATOL else 0.0
+            phase = wrap_angle(np.angle(upper) - lower_angle + math.pi / 2)
             rotate_rows(work, row, area, phase)
             eliminations.append((row, area, phase))
     pulses = [((k, k + 1), a, wrap_angle(p + math.pi)) for k, a, p in reversed(eliminations)]

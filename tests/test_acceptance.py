@@ -15,14 +15,7 @@ from qbond.constants import ELECTRON_MASS_KG, ELECTRON_VOLT_J, HBAR_JS, joule_to
 from qbond.jaynes_cummings import JCParams, detuning, dressed_states, jc_binding_energy
 from qbond.operators import hermitian_eigendecomposition
 from qbond.propagation import simulate_schedule, verify_passive
-from qbond.pulse_synthesis import (
-    PulseConstraints,
-    givens_decompose,
-    shape_pulse,
-    schedule,
-    trapezoid_duration,
-    triangle_duration,
-)
+from qbond.pulse_synthesis import PulseConstraints, givens_decompose, shape_pulse, schedule
 from qbond.tunneling_well import (
     WellGeometry,
     bound_state_energies,
@@ -31,6 +24,7 @@ from qbond.tunneling_well import (
     wkb_transmission_quadrature,
 )
 
+from generic_route import trapezoid_duration, triangle_duration
 from helpers import random_density, random_hermitian, random_probabilities, random_unitary
 
 BENCH = WellGeometry(

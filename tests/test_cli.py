@@ -424,3 +424,16 @@ def test_trajectory_past_memory_budget_exits_3(tmp_path, capsys):
     assert "TRAJECTORY_BUDGET_BYTES" in err
     assert "Traceback" not in err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("sub", ["", "x"], ids=["out_is_a_file", "out_under_a_file"])
+def test_unwritable_output_path_exits_2_naming_it(tmp_path, capsys, sub):
+    blocker = tmp_path / "F"
+    blocker.write_text("kept\n")
+    outdir = os.path.join(str(blocker), sub) if sub else str(blocker)
+    problem = os.path.join(PROBLEMS, "binding_singlet.json")
+    assert main(["binding", "--in", problem, "--out", outdir]) == 2
+    err = capsys.readouterr().err
+    assert outdir in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == "kept\n"

@@ -14,12 +14,7 @@ from qbond.operators import hermitian_eigendecomposition
 from qbond.propagation import (
     TRAJECTORY_BUDGET_BYTES,
     TRAJECTORY_SAMPLES,
-    TimeGrid,
-    evolve_density,
-    evolve_unitary,
     fidelity,
-    rwa_interaction,
-    schedule_hamiltonian,
     simulate_schedule,
     verify_passive,
 )
@@ -33,6 +28,13 @@ from qbond.pulse_synthesis import (
 )
 from qbond.serialization import schedule_from_json, schedule_to_json
 
+from generic_route import (
+    TimeGrid,
+    evolve_density,
+    evolve_unitary,
+    rwa_interaction,
+    schedule_hamiltonian,
+)
 from helpers import random_density, random_hermitian, random_probabilities, random_unitary
 from serial_oracles import serial_trajectory
 

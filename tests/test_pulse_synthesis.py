@@ -11,16 +11,14 @@ from qbond.pulse_synthesis import (
     PulseSchedule,
     ScheduledPulse,
     TransitionPulse,
-    adjoint_pulse,
     area_phase_from_column,
     givens_decompose,
     pulse_unitary,
     schedule,
     shape_pulse,
-    trapezoid_duration,
-    triangle_duration,
 )
 
+from generic_route import adjoint_pulse, trapezoid_duration, triangle_duration
 from helpers import random_unitary
 from serial_oracles import reck_decompose
 
@@ -425,3 +423,24 @@ def test_wavefront_does_not_depend_on_memory_layout():
             assert np.abs(got - want).max() <= 1e-12
             assert np.abs(sched.residual_phases - residual).max() <= 1e-12
             assert np.abs(schedule(target, SYM).reconstruct() - target).max() < 1e-10
+
+
+def test_signed_zero_entries_give_the_same_schedule():
+    # a lower entry that is zero to roundoff has angle 0, so the sign of a zero
+    # (here on the (1 2)(3 4) permutation) does not reach any pulse phase
+    plus = np.eye(4)[[1, 0, 3, 2]]
+    signed = []
+    for i, j in zip(*np.nonzero(plus == 0.0)):
+        minus = plus.copy()
+        minus[i, j] = -0.0
+        signed.append(minus)
+    signed.append(np.where(plus == 0.0, -0.0, plus))
+    want = givens_decompose(plus)
+    assert np.abs(want.reconstruct() - plus).max() <= 1e-12
+    for minus in signed:
+        got = givens_decompose(minus)
+        assert [(sp.pulse.transition, sp.pulse.area, sp.pulse.phase) for sp in got.pulses] == [
+            (sp.pulse.transition, sp.pulse.area, sp.pulse.phase) for sp in want.pulses
+        ]
+        assert np.array_equal(got.residual_phases, want.residual_phases)
+        assert np.abs(got.reconstruct() - minus).max() <= 1e-12

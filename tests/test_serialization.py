@@ -5,7 +5,7 @@ import pytest
 
 from qbond.binding import binding_energy
 from qbond.errors import ValidationError
-from qbond.propagation import simulate_schedule
+from qbond.propagation import _segments, simulate_schedule
 from qbond.pulse_synthesis import PulseConstraints, schedule
 from qbond.serialization import (
     binding_report_to_json,
@@ -19,6 +19,7 @@ from qbond.serialization import (
     well_levels_csv,
 )
 
+from generic_route import amplitude_at
 from helpers import random_density, random_hermitian, random_unitary
 from serial_oracles import trajectory_csv_rows
 
@@ -181,8 +182,63 @@ def test_envelope_csv_rows_draw_the_sampled_polyline():
         for a, b in zip(knots[:-1], knots[1:]):
             for t in np.linspace(a, b, 50, endpoint=False):
                 drawn = np.interp(offset + t, [r[0] for r in mine], [r[1] for r in mine])
-                assert abs(drawn - shape.amplitude_at(t)) <= 1e-12
+                assert abs(drawn - amplitude_at(shape, t)) <= 1e-12
         offset += shape.duration
+
+
+def _sequential_clock(sched):
+    """Each pulse's start and the end of the train, durations added one after another from 0.0."""
+    starts, t = [], 0.0
+    for sp in sched.pulses:
+        starts.append(t)
+        if sp.shape is not None:
+            t += sp.shape.duration
+    return starts, t
+
+
+def _clock_schedules():
+    rng = np.random.default_rng(47)
+    limits = PulseConstraints(amplitude_max=1.0, amplitude_min=0.05, slew_max=2.0, slew_min=-3.0)
+    for d in range(2, 41):
+        yield schedule(random_unitary(rng, d), limits)
+    # hand-edited schedule.json: one pulse in the middle loses its envelope
+    doc = schedule_to_json(schedule(random_unitary(rng, 6), limits))
+    doc["pulses"][4].update(breakpoints=[], duration=0.0)
+    total = 0.0
+    for p in doc["pulses"]:
+        total += p["duration"]
+    doc["total_time"] = total
+    yield schedule_from_json(doc)
+
+
+def test_every_reader_of_the_schedule_clock_sees_the_same_times():
+    for sched in _clock_schedules():
+        starts, end = _sequential_clock(sched)
+        assert [t.hex() for t in sched.start_times.tolist()] == [t.hex() for t in starts]
+        assert sched.total_time.hex() == end.hex()
+        # envelope.csv: every breakpoint at its pulse's start plus its local time
+        want = [
+            repr(start + t)
+            for start, sp in zip(sched.start_times.tolist(), sched.pulses)
+            if sp.shape is not None
+            for t, _ in sp.shape.breakpoints
+        ]
+        lines = envelope_csv(sched).strip().split("\n")[1:]
+        assert [line.split(",")[0] for line in lines] == want
+        if any(sp.shape is None for sp in sched.pulses):
+            with pytest.raises(ValidationError, match="unshaped"):
+                _segments(sched, None)
+            continue
+        # playback: every segment runs between two of those breakpoint times
+        bounds = [
+            (start + t0, start + t1)
+            for start, sp in zip(sched.start_times.tolist(), sched.pulses)
+            for (t0, _), (t1, _) in zip(sp.shape.breakpoints[:-1], sp.shape.breakpoints[1:])
+            if t1 > t0
+        ]
+        segs = _segments(sched, None)
+        assert np.array_equal(segs.t_lo, [lo for lo, _ in bounds])
+        assert np.array_equal(segs.t_hi, [hi for _, hi in bounds])
 
 
 def test_well_levels_csv_layout():
