@@ -104,10 +104,8 @@ def run_binding(payload: dict, args) -> list[tuple[str, object]]:
     if args.format == "csv":
         spec = hermitian_eigendecomposition(h_free)
         pops = np.real(np.diag(spec.eigenvectors.conj().T @ report.passive_state @ spec.eigenvectors))
-        lines = ["level,energy,population"]
-        for k, (e, p) in enumerate(zip(spec.eigenvalues, pops), start=1):
-            lines.append(f"{k},{float(e)!r},{float(p)!r}")
-        outputs.append(("binding_levels.csv", "\n".join(lines) + "\n"))
+        rows = zip(range(1, len(pops) + 1), spec.eigenvalues.tolist(), pops.tolist())
+        outputs.append(("binding_levels.csv", ser.csv_table(("level", "energy", "population"), rows)))
     return outputs
 
 
@@ -122,15 +120,14 @@ def run_jc(payload: dict, args) -> list[tuple[str, object]]:
         **{k: ser._number(payload[k], "jc payload", k) for k in ("omega_a", "omega_b", "g")}
     )
     basis = jc_mod.dressed_states(params)
+    levels = list(zip(basis.labels, basis.energies.tolist()))
     report = jc_mod.jc_binding_energy(params, str(payload["initial"]))
     doc = {
         "params": {"omega_a": params.omega_a, "omega_b": params.omega_b, "g": params.g},
         "initial": payload["initial"],
         "mixing_angle": basis.mixing_angle,
         "printed_formula_mixing_angle": jc_mod.printed_mixing_angle(params),
-        "dressed": [
-            {"label": lab, "energy": float(e)} for lab, e in zip(basis.labels, basis.energies)
-        ],
+        "dressed": [{"label": lab, "energy": e} for lab, e in levels],
         "dressed_vectors": ser.matrix_to_json(basis.vectors),
         "binding": ser.binding_report_to_json(report),
     }
@@ -149,10 +146,7 @@ def run_jc(payload: dict, args) -> list[tuple[str, object]]:
         }
     outputs = [("jc_report.json", doc)]
     if args.format == "csv":
-        lines = ["label,energy"]
-        for lab, e in zip(basis.labels, basis.energies):
-            lines.append(f"{lab},{float(e)!r}")
-        outputs.append(("jc_levels.csv", "\n".join(lines) + "\n"))
+        outputs.append(("jc_levels.csv", ser.csv_table(("label", "energy"), levels)))
     return outputs
 
 
@@ -167,47 +161,39 @@ def run_well(payload: dict, args) -> list[tuple[str, object]]:
         plateau_height=_quantity(payload["v0_prime"], ENERGY_UNITS, "v0_prime"),
         mass=_quantity(payload["mass"], MASS_UNITS, "mass") if "mass" in payload else ELECTRON_MASS_KG,
     )
-    energies = well_mod.bound_state_energies(geometry)
-    states = well_mod.classify_levels(geometry, energies)
+    states = well_mod.classify_levels(geometry, well_mod.bound_state_energies(geometry))
     rows = []
-    levels_doc = []
     for s in states:
-        entry = {"n": s.index, "E_eV": joule_to_ev(s.energy), "kind": s.kind}
+        p = tau = None
         if s.kind == well_mod.KIND_TUNNELING:
             p = well_mod.wkb_transmission(geometry, s.energy)
-            est = well_mod.tunneling_time(geometry, s.energy, p)
-            entry["P"] = p
-            entry["tau_s"] = est.tunneling_time
-        else:
-            entry["P"] = None
-            entry["tau_s"] = None
-        rows.append(entry)
-        levels_doc.append(
-            {
-                "n": s.index,
-                "energy_J": s.energy,
-                "energy_eV": joule_to_ev(s.energy),
-                "kind": s.kind,
-                "transmission": entry["P"],
-                "tunneling_time_s": None
-                if entry["tau_s"] is None or math.isinf(entry["tau_s"])
-                else entry["tau_s"],
-            }
-        )
-    doc = {
-        "geometry": {
-            "well_width_m": geometry.well_width,
-            "barrier_end_m": geometry.barrier_end,
-            "barrier_height_eV": joule_to_ev(geometry.barrier_height),
-            "plateau_height_eV": joule_to_ev(geometry.plateau_height),
-            "mass_kg": geometry.mass,
-        },
-        "level_count": len(states),
-        "tunneling_count": sum(1 for s in states if s.kind == well_mod.KIND_TUNNELING),
-        "levels": levels_doc,
-    }
+            tau = well_mod.tunneling_time(geometry, s.energy, p).tunneling_time
+        rows.append({"n": s.index, "E_eV": joule_to_ev(s.energy), "kind": s.kind, "P": p, "tau_s": tau})
     outputs = [("well_levels.csv", ser.well_levels_csv(rows))]
     if args.format == "json":
+        doc = {
+            "geometry": {
+                "well_width_m": geometry.well_width,
+                "barrier_end_m": geometry.barrier_end,
+                "barrier_height_eV": joule_to_ev(geometry.barrier_height),
+                "plateau_height_eV": joule_to_ev(geometry.plateau_height),
+                "mass_kg": geometry.mass,
+            },
+            "level_count": len(states),
+            "tunneling_count": sum(1 for s in states if s.kind == well_mod.KIND_TUNNELING),
+            "levels": [
+                {
+                    "n": r["n"],
+                    "energy_J": s.energy,
+                    "energy_eV": r["E_eV"],
+                    "kind": r["kind"],
+                    "transmission": r["P"],
+                    # strict JSON has no infinity: a level that never escapes gets a null time
+                    "tunneling_time_s": None if r["tau_s"] == math.inf else r["tau_s"],
+                }
+                for s, r in zip(states, rows)
+            ],
+        }
         outputs.append(("well_report.json", doc))
     return outputs
 

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .binding import BindingEnergyReport, binding_energy
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 # tolerance on the dissociation phase condition (radians)
 ANGLE_ATOL = 1e-9
@@ -38,15 +38,14 @@ class JCParams:
     omega_a: float          # atomic transition frequency
     omega_b: float          # field mode frequency
     g: float                # coupling strength
-    hbar: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.omega_a, self.omega_b, self.g)):
+            raise ValidationError(f"omega_a, omega_b and g must be finite, got {self}")
         if self.omega_a <= 0 or self.omega_b <= 0:
             raise ValidationError(f"frequencies must be positive, got {self}")
         if self.g < 0:
             raise ValidationError(f"coupling must be nonnegative, got g={self.g}")
-        if self.hbar <= 0:
-            raise ValidationError(f"hbar must be positive, got {self.hbar}")
 
 
 @dataclass(frozen=True)
@@ -160,20 +159,22 @@ def printed_mixing_angle(params: JCParams) -> float:
 def flight_phase(params: JCParams, path_length: float, velocity: float) -> FlightReport:
     """Phase accumulated between the dressed pair over a flight segment.
 
-    The pair oscillates at Rabi frequency 2 sqrt(delta^2 + g^2) / hbar.
+    The pair oscillates at Rabi frequency 2 sqrt(delta^2 + g^2) (hbar = 1).
     The molecule comes out in a bare-state mixture exactly when the
     accumulated angle is a multiple of pi; the test uses the distance to
     the nearest multiple so that an angle of exactly pi passes at double
-    precision.
+    precision. A flight angle past the float range raises NumericalError.
     """
-    if velocity <= 0:
-        raise ValidationError(f"velocity must be positive, got {velocity}")
-    if path_length < 0:
-        raise ValidationError(f"path length must be nonnegative, got {path_length}")
+    if not 0 < velocity < math.inf:
+        raise ValidationError(f"velocity must be finite and positive, got {velocity}")
+    if not 0 <= path_length < math.inf:
+        raise ValidationError(f"path length must be finite and nonnegative, got {path_length}")
     delta = detuning(params)
-    rabi = 2.0 * math.hypot(delta, params.g) / params.hbar
+    rabi = 2.0 * math.hypot(delta, params.g)
     tau = path_length / velocity
     angle = rabi * tau
+    if not math.isfinite(angle):
+        raise NumericalError(f"the flight angle overflows: Rabi frequency {rabi} over flight time {tau}")
     rem = math.fmod(angle, math.pi)
     if rem < 0:
         rem += math.pi

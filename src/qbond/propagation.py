@@ -103,10 +103,15 @@ def _segments(sched: PulseSchedule, dipoles) -> _Segments:
     """
     d = sched.dimension
     pieces = []
-    for sp, offset in zip(sched.pulses, sched.start_times.tolist()):
+    for n, (sp, offset) in enumerate(zip(sched.pulses, sched.start_times.tolist())):
         shape = sp.shape
         if shape is None:
             raise ValidationError("schedule contains unshaped pulses; run shaping first")
+        if shape.breakpoints and shape.breakpoints[0][0] < 0:
+            # its envelope would reach back into the pulse before it
+            raise ValidationError(
+                f"pulse {n}: breakpoint times must start at 0 or later, got {shape.breakpoints[0][0]}"
+            )
         if sp.pulse.transition[1] > d:
             raise ValidationError(f"transition {sp.pulse.transition} exceeds dimension {d}")
         k = sp.pulse.transition[0]
@@ -179,6 +184,10 @@ def simulate_schedule(
             f"steps_per_segment must be an integer >= 1, got {steps_per_segment!r}"
         )
     d = sched.dimension
+    if target is not None:
+        target = as_square_matrix(target)
+        if target.shape != (d, d):
+            raise ValidationError(f"target has shape {target.shape}, the schedule acts on dimension {d}")
     segs = _segments(sched, dipoles)
     n_segs = len(segs.k)
     blocks = _blocks(segs.full_area(), segs.phase)
@@ -238,7 +247,7 @@ def simulate_schedule(
         u[lo : lo + 2] = blocks[i] @ u[lo : lo + 2]
 
     if target is not None:
-        reference = as_square_matrix(target) @ sched.residual_matrix()
+        reference = target @ sched.residual_matrix()
         result.fidelity_to_target = fidelity(reference, u)
     return result
 

@@ -13,9 +13,6 @@ a schedule's "total_time" must match its summed pulse durations.
 
 from __future__ import annotations
 
-import csv
-import io
-import math
 from itertools import chain
 
 import numpy as np
@@ -156,6 +153,8 @@ def schedule_from_json(obj: dict) -> PulseSchedule:
             shape = None
         pulses.append(ScheduledPulse(pulse=pulse, shape=shape, dipole=dipole))
     residual = np.array(_numbers(obj["residual_phases"], "schedule", "residual_phases"))
+    if not residual.size:
+        raise ValidationError("schedule: residual_phases is empty; it holds one phase per level")
     sched = PulseSchedule(pulses=pulses, residual_phases=residual)
     stored, summed = _number(obj["total_time"], "schedule", "total_time"), sched.total_time
     if abs(stored - summed) > _DURATION_RTOL * max(1.0, summed):
@@ -170,17 +169,27 @@ def _piecewise_area(points, baseline: float) -> float:
     return total
 
 
+def _cell(x) -> str:
+    if type(x) is float:
+        return repr(x)
+    if x is None or isinstance(x, str):
+        return x or ""
+    return str(x) if isinstance(x, int) else repr(float(x))
+
+
+def csv_table(header, rows) -> str:
+    """CSV text of a header row and rows of cells; every table qbond writes goes through here.
+
+    A str cell is written as it is, None blank, an int through str and any other number as repr(float(x)).
+    Nothing is quoted, so a str cell must hold no comma and no line break.
+    """
+    return "".join(",".join(map(_cell, row)) + "\n" for row in chain([header], rows))
+
+
 def well_levels_csv(rows) -> str:
-    """CSV table (n, E_eV, kind, P, tau_s); P and tau blank off the tunneling window."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "E_eV", "kind", "P", "tau_s"])
-    for r in rows:
-        p = "" if r.get("P") is None else repr(float(r["P"]))
-        tau = r.get("tau_s")
-        tau = "" if tau is None else ("inf" if math.isinf(tau) else repr(float(tau)))
-        writer.writerow([r["n"], repr(float(r["E_eV"])), r["kind"], p, tau])
-    return buf.getvalue()
+    """CSV table (n, E_eV, kind, P, tau_s) of dict rows; P and tau blank off the tunneling window."""
+    cells = ([r["n"], r["E_eV"], r["kind"], r.get("P"), r.get("tau_s")] for r in rows)
+    return csv_table(("n", "E_eV", "kind", "P", "tau_s"), cells)
 
 
 def envelope_csv(sched: PulseSchedule) -> str:
@@ -189,17 +198,12 @@ def envelope_csv(sched: PulseSchedule) -> str:
     Envelopes are piecewise linear, so one row per breakpoint describes
     them exactly; each pulse's times are offset by its start_times entry.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["time", "amplitude", "transition"])
+    rows = []
     for sp, offset in zip(sched.pulses, sched.start_times.tolist()):
-        shape = sp.shape
-        if shape is None or not shape.breakpoints:
-            continue
-        label = "{}-{}".format(*sp.pulse.transition)
-        for t, amp in shape.breakpoints:
-            writer.writerow([repr(float(offset + t)), repr(float(amp)), label])
-    return buf.getvalue()
+        if sp.shape is not None:
+            label = "{}-{}".format(*sp.pulse.transition)
+            rows += [(offset + t, amp, label) for t, amp in sp.shape.breakpoints]
+    return csv_table(("time", "amplitude", "transition"), rows)
 
 
 def trajectory_csv(times, states, energies) -> str:
@@ -209,14 +213,11 @@ def trajectory_csv(times, states, energies) -> str:
     (samples, d, d) array), stacked once. With S the stack, the columns are
     t = times, U_energy = energies, purity = Re Tr(S_i S_i) (one batched
     product, then np.trace over the last two axes) and pop_k = Re S_i[k-1, k-1]
-    (one diagonal view). Every number is written as its float repr.
+    (one diagonal view).
     """
     d = len(states[0]) if len(states) else 0
-    lines = [",".join(["t", "U_energy", "purity"] + [f"pop_{k + 1}" for k in range(d)])]
-    if d:
-        stack = np.asarray(states)
-        purity = np.trace(stack @ stack, axis1=1, axis2=2).real
-        pops = stack.diagonal(axis1=1, axis2=2).real
-        rows = np.column_stack((times, energies, purity, pops)).tolist()
-        lines += [",".join(map(repr, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    stack = np.asarray(states).reshape(len(states), d, d)
+    purity = np.trace(stack @ stack, axis1=1, axis2=2).real
+    pops = stack.diagonal(axis1=1, axis2=2).real
+    rows = np.column_stack((times, energies, purity, pops)).tolist()
+    return csv_table(["t", "U_energy", "purity"] + [f"pop_{k + 1}" for k in range(d)], rows)

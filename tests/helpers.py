@@ -1,6 +1,10 @@
 """Shared random-object generators for the test suite."""
 
+import dataclasses
+
 import numpy as np
+
+from qbond.pulse_synthesis import PulseConstraints, PulseSchedule, schedule
 
 
 def random_hermitian(rng, d):
@@ -25,3 +29,18 @@ def random_density(rng, d, rank=None):
 def random_probabilities(rng, d):
     p = rng.uniform(0.05, 1.0, size=d)
     return p / p.sum()
+
+
+def early_pulse_schedule(shift=-1.0):
+    """(schedule, target) for a seeded d = 3 target, with every breakpoint of pulse 1 (2-3) moved by shift.
+
+    Its duration moves with the last breakpoint, so durations and total_time
+    stay consistent; a negative shift starts the envelope inside pulse 0.
+    """
+    target = random_unitary(np.random.default_rng(3), 3)
+    sched = schedule(target, PulseConstraints(amplitude_max=1.0))
+    sp = sched.pulses[1]
+    points = tuple((t + shift, a) for t, a in sp.shape.breakpoints)
+    shape = dataclasses.replace(sp.shape, breakpoints=points, duration=points[-1][0])
+    pulses = [sched.pulses[0], dataclasses.replace(sp, shape=shape), *sched.pulses[2:]]
+    return PulseSchedule(pulses=pulses, residual_phases=sched.residual_phases), target

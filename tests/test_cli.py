@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -10,6 +11,9 @@ import qbond.serialization
 from qbond.cli import build_parser, main
 from qbond.operators import HERMITIAN_ATOL
 from qbond.propagation import TRAJECTORY_BUDGET_BYTES, TRAJECTORY_SAMPLES
+from qbond.serialization import matrix_to_json, schedule_to_json
+
+from helpers import early_pulse_schedule
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "problems")
 
@@ -437,3 +441,118 @@ def test_unwritable_output_path_exits_2_naming_it(tmp_path, capsys, sub):
     assert outdir in err
     assert "Traceback" not in err
     assert blocker.read_text() == "kept\n"
+
+
+def _table(outdir, name):
+    with open(os.path.join(outdir, name), newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("name", ["binding_singlet.json", "binding_product_ground.json"])
+def test_binding_levels_csv_parses_back_to_its_report(tmp_path, name):
+    problem = os.path.join(PROBLEMS, name)
+    code, outdir = _run(["binding", "--in", problem, "--format", "csv"], tmp_path)
+    assert code == 0
+    with open(os.path.join(outdir, "binding_report.json")) as fh:
+        passive = json.load(fh)["passive_state"]["re"]
+    with open(problem) as fh:
+        h_free = json.load(fh)["payload"]["h_free"]["re"]
+    rows = _table(outdir, "binding_levels.csv")
+    # both bundled h_free are diagonal, so the levels are its sorted diagonal
+    assert [int(r["level"]) for r in rows] == list(range(1, len(h_free) + 1))
+    assert [float(r["energy"]) for r in rows] == sorted(h_free[k][k] for k in range(len(h_free)))
+    assert [float(r["population"]) for r in rows] == [passive[k][k] for k in range(len(passive))]
+
+
+def test_jc_levels_csv_parses_back_to_its_report(tmp_path):
+    problem = os.path.join(PROBLEMS, "jc_detuned.json")
+    code, outdir = _run(["jc", "--in", problem, "--format", "csv"], tmp_path)
+    assert code == 0
+    with open(os.path.join(outdir, "jc_report.json")) as fh:
+        dressed = json.load(fh)["dressed"]
+    rows = _table(outdir, "jc_levels.csv")
+    assert [(r["label"], float(r["energy"])) for r in rows] == [(x["label"], x["energy"]) for x in dressed]
+
+
+def _well_50nm(tmp_path):
+    f = tmp_path / "well_50nm.json"
+    problem = _edited("well_standard.json", lambda p: p.update(b={"value": 50, "unit": "nm"}))
+    f.write_text(json.dumps(problem))
+    return str(f)
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["standard", "b_50nm"])
+def test_well_levels_csv_parses_back_to_its_report(tmp_path, wide):
+    problem = _well_50nm(tmp_path) if wide else os.path.join(PROBLEMS, "well_standard.json")
+    code, outdir = _run(["well", "--in", problem, "--format", "json"], tmp_path)
+    assert code == 0
+    with open(os.path.join(outdir, "well_report.json")) as fh:
+        levels = json.load(fh)["levels"]
+    rows = _table(outdir, "well_levels.csv")
+    assert len(rows) == len(levels)
+    for row, level in zip(rows, levels):
+        assert int(row["n"]) == level["n"]
+        assert float(row["E_eV"]) == level["energy_eV"]
+        assert row["kind"] == level["kind"]
+        assert (float(row["P"]) if row["P"] else None) == level["transmission"]
+        # an infinite time has no strict-JSON value, so the report holds null
+        tau = float(row["tau_s"]) if row["tau_s"] else None
+        assert (None if tau == math.inf else tau) == level["tunneling_time_s"]
+
+
+def test_well_level_that_never_escapes_has_an_infinite_time(tmp_path):
+    # at b = 50 nm the tunneling level's transmission underflows to 0
+    problem = _well_50nm(tmp_path)
+    code, outdir = _run(["well", "--in", problem, "--format", "json"], tmp_path)
+    assert code == 0
+    with open(os.path.join(outdir, "well_levels.csv")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[4].startswith("4,") and lines[4].endswith(",tunneling,0.0,inf")
+    with open(os.path.join(outdir, "well_report.json")) as fh:
+        level = json.load(fh)["levels"][3]
+    assert level["transmission"] == 0.0 and level["tunneling_time_s"] is None
+
+
+def _target_3x3(payload):
+    payload["target"] = {"dim": 3, "re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()}
+
+
+def _no_residual_phases(payload):
+    payload["schedule"]["residual_phases"] = []
+
+
+def _early_pulse(payload):
+    del payload["rho0"]
+    sched, target = early_pulse_schedule(-1.0)
+    payload["schedule"] = schedule_to_json(sched)
+    payload["target"] = matrix_to_json(target)
+
+
+@pytest.mark.parametrize(
+    "edit, words",
+    [
+        pytest.param(_target_3x3, ["target", "dimension 2"], id="target-of-another-dimension"),
+        pytest.param(_no_residual_phases, ["residual_phases"], id="empty-residual-phases"),
+        pytest.param(_early_pulse, ["pulse 1", "breakpoint"], id="envelope-before-its-pulse"),
+    ],
+)
+def test_malformed_simulate_schedule_exits_2_naming_it(tmp_path, capsys, edit, words):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(_edited("simulate_half_swap.json", edit)))
+    outdir = tmp_path / "out"
+    assert main(["simulate", "--in", str(f), "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert all(w in err for w in words), err
+    assert "Traceback" not in err
+    assert not outdir.exists()
+
+
+def test_jc_flight_angle_past_the_float_range_exits_3(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    problem = _edited("jc_detuned.json", lambda p: p.update(path_length=1e300, velocity=1e-10))
+    f.write_text(json.dumps(problem))
+    outdir = tmp_path / "out"
+    assert main(["jc", "--in", str(f), "--out", str(outdir)]) == 3
+    err = capsys.readouterr().err
+    assert "flight angle overflows" in err and "Traceback" not in err
+    assert not outdir.exists()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qbond.binding import binding_energy
-from qbond.errors import ValidationError
+from qbond.errors import NumericalError, ValidationError
 from qbond.jaynes_cummings import (
     JCParams,
     bare_energies,
@@ -22,6 +22,29 @@ def test_params_validation():
         JCParams(omega_a=-1.0, omega_b=2.0, g=0.1)
     with pytest.raises(ValidationError):
         JCParams(omega_a=1.0, omega_b=2.0, g=-0.1)
+
+
+@pytest.mark.parametrize("field", ["omega_a", "omega_b", "g"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_params_must_be_finite(field, value):
+    with pytest.raises(ValidationError, match="must be finite"):
+        JCParams(**{"omega_a": 1.0, "omega_b": 2.0, "g": 0.1, field: value})
+
+
+@pytest.mark.parametrize(
+    "path, velocity", [(float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("nan")), (1.0, float("inf"))]
+)
+def test_flight_phase_refuses_non_finite_flight(path, velocity):
+    with pytest.raises(ValidationError, match="must be finite"):
+        flight_phase(PARAMS, path, velocity)
+
+
+@pytest.mark.parametrize(
+    "params, path, velocity", [(PARAMS, 1e300, 1e-10), (JCParams(1e308, 1e308, 1e308), 1e10, 1.0)]
+)
+def test_flight_angle_past_the_float_range_is_a_numerical_error(params, path, velocity):
+    with pytest.raises(NumericalError, match="flight angle overflows"):
+        flight_phase(params, path, velocity)
 
 
 def test_hamiltonian_structure():
@@ -115,7 +138,7 @@ def test_flight_phase_cases():
 
     # pick the velocity that lands exactly on pi
     delta = detuning(PARAMS)
-    omega = 2.0 * np.hypot(delta, PARAMS.g) / PARAMS.hbar
+    omega = 2.0 * np.hypot(delta, PARAMS.g)
     path = 1.0
     v_pi = omega * path / np.pi
     assert flight_phase(PARAMS, path, v_pi).dissociates

@@ -35,7 +35,13 @@ from generic_route import (
     rwa_interaction,
     schedule_hamiltonian,
 )
-from helpers import random_density, random_hermitian, random_probabilities, random_unitary
+from helpers import (
+    early_pulse_schedule,
+    random_density,
+    random_hermitian,
+    random_probabilities,
+    random_unitary,
+)
 from serial_oracles import serial_trajectory
 
 SYM = PulseConstraints(amplitude_max=2.0, slew_max=4.0, slew_min=-4.0)
@@ -212,13 +218,27 @@ def test_simulate_schedule_end_to_end_fidelity():
         assert result.fidelity_to_target >= 1.0 - 1e-6
 
 
-def test_simulate_schedule_infers_dipole_from_shapes():
+def test_simulate_schedule_plays_the_recorded_dipole():
     rng = np.random.default_rng(23)
     u_target = random_unitary(rng, 3)
     sched = schedule(u_target, SYM, dipoles=3.7)
-    # no dipole passed to simulate: inferred from area / realized_area
+    # no dipole passed to simulate: each pulse plays the dipole recorded on it
     result = simulate_schedule(sched, target=u_target, steps_per_segment=32)
     assert result.fidelity_to_target >= 1.0 - 1e-6
+
+
+def test_simulate_schedule_refuses_an_envelope_that_starts_before_its_pulse():
+    sched, target = early_pulse_schedule(0.0)
+    assert simulate_schedule(sched, target=target).fidelity_to_target >= 1.0 - 1e-9
+    sched, target = early_pulse_schedule(-1.0)
+    with pytest.raises(ValidationError, match="pulse 1: breakpoint times must start at 0"):
+        simulate_schedule(sched, target=target)
+
+
+def test_simulate_schedule_refuses_a_target_of_another_dimension():
+    sched, _ = early_pulse_schedule(0.0)
+    with pytest.raises(ValidationError, match=r"target has shape \(2, 2\), .* dimension 3"):
+        simulate_schedule(sched, target=np.eye(2))
 
 
 def test_simulate_schedule_rejects_bad_step_count():

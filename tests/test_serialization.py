@@ -9,6 +9,7 @@ from qbond.propagation import _segments, simulate_schedule
 from qbond.pulse_synthesis import PulseConstraints, schedule
 from qbond.serialization import (
     binding_report_to_json,
+    csv_table,
     envelope_csv,
     matrix_from_json,
     matrix_to_json,
@@ -251,6 +252,12 @@ def test_well_levels_csv_layout():
     assert lines[0] == "n,E_eV,kind,P,tau_s"
     assert lines[1].startswith("1,4.5,bound,,")
     assert "0.5" in lines[2] and "1.2e-17" in lines[2]
+
+
+def test_csv_table_cells():
+    rows = [("a", None, 3, 0.1, np.float64(2.5), float("inf")), (None, "", -1, 1e-300, np.float64(-0.0), 0.0)]
+    text = csv_table(["s", "none", "int", "float", "np", "inf"], rows)
+    assert text == "s,none,int,float,np,inf\na,,3,0.1,2.5,inf\n,,-1,1e-300,-0.0,0.0\n"
 
 
 def test_trajectory_csv_layout():
