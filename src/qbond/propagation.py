@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .operators import as_square_matrix, hermitian_eigendecomposition, validate_density_matrix
-from .pulse_synthesis import PulseSchedule, _blocks, _dipole
+from .pulse_synthesis import PulseSchedule, _blocks, _dipole, _row_pairs
 
 STEPS_PER_SEGMENT = 200
 COMMUTATOR_ATOL = 1e-8
@@ -98,26 +98,23 @@ class _Segments(NamedTuple):
 def _segments(sched: PulseSchedule, dipoles) -> _Segments:
     """Envelope segments of positive width, each pulse from its start_times entry.
 
-    Amplitudes are read from the breakpoints of each shape, never from its
-    stored realized_area.
+    Amplitudes are read from the breakpoints of each shape. A pulse with no
+    breakpoints is unshaped and refused.
     """
-    d = sched.dimension
+    # the range check reconstruct makes: a transition beyond the dimension raises
+    _row_pairs([sp.pulse.transition[0] for sp in sched.pulses], sched.dimension)
     pieces = []
     for n, (sp, offset) in enumerate(zip(sched.pulses, sched.start_times.tolist())):
-        shape = sp.shape
-        if shape is None:
+        points = sp.shape.breakpoints
+        if not points:
             raise ValidationError("schedule contains unshaped pulses; run shaping first")
-        if shape.breakpoints and shape.breakpoints[0][0] < 0:
+        if points[0][0] < 0:
             # its envelope would reach back into the pulse before it
-            raise ValidationError(
-                f"pulse {n}: breakpoint times must start at 0 or later, got {shape.breakpoints[0][0]}"
-            )
-        if sp.pulse.transition[1] > d:
-            raise ValidationError(f"transition {sp.pulse.transition} exceeds dimension {d}")
+            raise ValidationError(f"pulse {n}: breakpoint times must start at 0 or later, got {points[0][0]}")
         k = sp.pulse.transition[0]
         d_k = _dipole(dipoles, k, sp.dipole)
-        base = shape.baseline
-        for (t0, a0), (t1, a1) in zip(shape.breakpoints[:-1], shape.breakpoints[1:]):
+        base = sp.shape.baseline
+        for (t0, a0), (t1, a1) in zip(points[:-1], points[1:]):
             if t1 < t0:
                 raise ValidationError(f"breakpoint times must not decrease, got {t0} then {t1}")
             if t1 > t0:

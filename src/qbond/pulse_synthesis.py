@@ -33,9 +33,12 @@ returned as residual phases rather than synthesized.
 
 Shaping turns each area into a minimum-duration piecewise-linear envelope
 under amplitude and slew bounds: a triangle when the required peak stays
-below the cap, otherwise a trapezoid riding at the cap. Each shaped pulse
-records the dipole D_k it was shaped for. Pulses play back to back:
-PulseSchedule.start_times is the one clock that places them in time.
+below the cap, otherwise a trapezoid riding at the cap. An envelope
+(PulseShape) is its breakpoints and nothing else: its duration, baseline
+and realized area are read off them, and an unshaped pulse has none. Each
+shaped pulse records the dipole D_k it was shaped for. Pulses play back
+to back: PulseSchedule.start_times and total_time read one running sum of
+the durations, the one clock that places pulses in time.
 """
 
 from __future__ import annotations
@@ -105,6 +108,12 @@ class PulseConstraints:
             raise ValidationError(
                 f"need slew_min < 0 < slew_max, got {self.slew_min}, {self.slew_max}"
             )
+        # shape_pulse's ramp factor; a subnormal slew overflows it and every envelope would collapse to zero
+        if not math.isfinite(1.0 / self.slew_max - 1.0 / self.slew_min):
+            raise ValidationError(
+                f"slew_max {self.slew_max} and slew_min {self.slew_min} are too close to 0: "
+                "the ramp factor 1/slew_max + 1/|slew_min| overflows"
+            )
 
     @property
     def headroom(self) -> float:
@@ -113,22 +122,34 @@ class PulseConstraints:
 
 @dataclass(frozen=True)
 class PulseShape:
-    """Piecewise-linear envelope, breakpoints ((t, amplitude), ...).
+    """Piecewise-linear envelope, breakpoints ((t, amplitude), ...), and nothing else.
 
     Amplitudes are absolute; the first and last breakpoints sit on the
-    baseline. realized_area is the integral of the envelope above the
-    baseline, the quantity the rotation area is proportional to. The
-    baseline contribution (baseline times duration) leaks into the drive
-    without being compensated; it is exposed for inspection.
+    baseline. Everything else is read off the breakpoints: duration is the
+    last breakpoint time, realized_area the integral of the envelope above
+    the baseline (the quantity the rotation area is proportional to), and
+    baseline_leakage the baseline contribution (baseline times duration),
+    which leaks into the drive without being compensated. An envelope with
+    no breakpoints is an unshaped pulse: it takes no time on the schedule
+    clock, and playback refuses it.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
-    duration: float
-    realized_area: float
+
+    @property
+    def duration(self) -> float:
+        points = self.breakpoints
+        return points[-1][0] if points else 0.0
 
     @property
     def baseline(self) -> float:
         return self.breakpoints[0][1] if self.breakpoints else 0.0
+
+    @property
+    def realized_area(self) -> float:
+        base, points = self.baseline, self.breakpoints
+        pieces = zip(points[:-1], points[1:])
+        return sum((0.5 * ((a0 - base) + (a1 - base)) * (t1 - t0) for (t0, a0), (t1, a1) in pieces), 0.0)
 
     @property
     def baseline_leakage(self) -> float:
@@ -137,10 +158,10 @@ class PulseShape:
 
 @dataclass(frozen=True)
 class ScheduledPulse:
-    """A pulse, its envelope and the dipole D_k the envelope was shaped for."""
+    """A pulse, its envelope (PulseShape(()) when unshaped) and the dipole D_k the envelope was shaped for."""
 
     pulse: TransitionPulse
-    shape: PulseShape | None = None
+    shape: PulseShape = PulseShape(())
     dipole: float = 1.0
 
     def __post_init__(self):
@@ -164,24 +185,22 @@ class PulseSchedule:
     def dimension(self) -> int:
         return len(self.residual_phases)
 
+    def _clock(self) -> np.ndarray:
+        """The one schedule clock: 0.0, then the durations added one after another (a sequential np.cumsum)."""
+        return np.cumsum([0.0] + [sp.shape.duration for sp in self.pulses])
+
     @property
     def start_times(self) -> np.ndarray:
         """When each pulse starts: back to back from t = 0, an unshaped pulse taking no time.
 
-        Entry i is 0.0 plus the durations of pulses 0 .. i-1, added one after
-        another (np.cumsum is a sequential running sum). This is the one
-        schedule clock: total_time, playback and envelope.csv all read it.
+        The head of the schedule clock; playback and envelope.csv read it.
         """
-        durations = [0.0 if sp.shape is None else sp.shape.duration for sp in self.pulses]
-        return np.cumsum([0.0, *durations])[:-1]
+        return self._clock()[:-1]
 
     @property
     def total_time(self) -> float:
-        """End of the last pulse on the start_times clock, 0.0 when none is shaped."""
-        if not self.pulses:
-            return 0.0
-        last = self.pulses[-1].shape
-        return float(self.start_times[-1] + (0.0 if last is None else last.duration))
+        """End of the last pulse: the schedule clock's last entry, 0.0 when none is shaped."""
+        return float(self._clock()[-1])
 
     def residual_matrix(self) -> np.ndarray:
         return np.diag(np.exp(1j * np.asarray(self.residual_phases)))
@@ -353,7 +372,7 @@ def shape_pulse(area_required: float, constraints: PulseConstraints) -> PulseSha
     if area_required < 0.0:
         raise ValidationError(f"area must be nonnegative, got {area_required}")
     if area_required == 0.0:
-        return PulseShape(breakpoints=(), duration=0.0, realized_area=0.0)
+        return PulseShape(())
 
     cap = constraints.headroom
     if cap <= 0.0:
@@ -372,7 +391,6 @@ def shape_pulse(area_required: float, constraints: PulseConstraints) -> PulseSha
         fall = peak / rate_down
         duration = rise + fall
         points = ((0.0, base), (rise, base + peak), (duration, base))
-        realized = 0.5 * peak * duration
     else:
         rise = cap / rate_up
         fall = cap / rate_down
@@ -385,8 +403,7 @@ def shape_pulse(area_required: float, constraints: PulseConstraints) -> PulseSha
             (rise + plateau, base + cap),
             (duration, base),
         )
-        realized = 0.5 * cap * cap * ramp_factor + cap * plateau
-    return PulseShape(breakpoints=points, duration=duration, realized_area=realized)
+    return PulseShape(points)
 
 
 def schedule(target, constraints, dipoles=None) -> PulseSchedule:

@@ -7,8 +7,9 @@ A complex matrix travels as
 with full double precision (row major). Every emitted JSON document
 re-parses to bit-identical values because floats are serialized through
 repr. Schemas are strict: unknown keys fail loudly, and numbers must be finite
-ints or floats. A schedule pulse may carry its "dipole" D_k (default 1.0), and
-a schedule's "total_time" must match its summed pulse durations.
+ints or floats. A schedule pulse may carry its "dipole" D_k (default 1.0).
+Every pulse's "duration" must match its last breakpoint time (0.0 when it has
+none), and a schedule's "total_time" must match its summed pulse durations.
 """
 
 from __future__ import annotations
@@ -100,19 +101,17 @@ def binding_report_to_json(report: BindingEnergyReport) -> dict:
 
 
 def schedule_to_json(sched: PulseSchedule) -> dict:
-    pulses = []
-    for sp in sched.pulses:
-        shape = sp.shape
-        pulses.append(
-            {
-                "transition": list(sp.pulse.transition),
-                "area": sp.pulse.area,
-                "phase": sp.pulse.phase,
-                "breakpoints": [[t, a] for t, a in (shape.breakpoints if shape else ())],
-                "duration": shape.duration if shape else 0.0,
-                "dipole": sp.dipole,
-            }
-        )
+    pulses = [
+        {
+            "transition": list(sp.pulse.transition),
+            "area": sp.pulse.area,
+            "phase": sp.pulse.phase,
+            "breakpoints": [[t, a] for t, a in sp.shape.breakpoints],
+            "duration": sp.shape.duration,
+            "dipole": sp.dipole,
+        }
+        for sp in sched.pulses
+    ]
     return {
         "pulses": pulses,
         "residual_phases": [float(x) for x in sched.residual_phases],
@@ -142,15 +141,12 @@ def schedule_from_json(obj: dict) -> PulseSchedule:
             raise ValidationError(f"{what}: transition must be two integer levels, got {p['transition']!r}")
         pulse = TransitionPulse(transition=(int(levels[0]), int(levels[1])), area=area, phase=phase)
         flat = _numbers(_flat_rows(p["breakpoints"], 2, what, "breakpoints"), what, "breakpoints")
-        points = tuple(zip(flat[0::2], flat[1::2]))
-        if points:
-            if abs(points[-1][0] - duration) > _DURATION_RTOL * max(1.0, duration):
-                raise ValidationError(f"{what}: duration {duration} is not the last breakpoint {points[-1][0]}")
-            base = points[0][1]
-            realized = _piecewise_area(points, base)
-            shape = PulseShape(breakpoints=points, duration=duration, realized_area=realized)
-        else:
-            shape = None
+        shape = PulseShape(tuple(zip(flat[0::2], flat[1::2])))
+        if abs(shape.duration - duration) > _DURATION_RTOL * max(1.0, duration):
+            raise ValidationError(
+                f"{what}: duration {duration} differs from {shape.duration}, "
+                "the envelope's last breakpoint time (0.0 when it has none)"
+            )
         pulses.append(ScheduledPulse(pulse=pulse, shape=shape, dipole=dipole))
     residual = np.array(_numbers(obj["residual_phases"], "schedule", "residual_phases"))
     if not residual.size:
@@ -160,13 +156,6 @@ def schedule_from_json(obj: dict) -> PulseSchedule:
     if abs(stored - summed) > _DURATION_RTOL * max(1.0, summed):
         raise ValidationError(f"schedule: total_time {stored} differs from the summed durations {summed}")
     return sched
-
-
-def _piecewise_area(points, baseline: float) -> float:
-    total = 0.0
-    for (t0, a0), (t1, a1) in zip(points[:-1], points[1:]):
-        total += 0.5 * ((a0 - baseline) + (a1 - baseline)) * (t1 - t0)
-    return total
 
 
 def _cell(x) -> str:
@@ -200,9 +189,8 @@ def envelope_csv(sched: PulseSchedule) -> str:
     """
     rows = []
     for sp, offset in zip(sched.pulses, sched.start_times.tolist()):
-        if sp.shape is not None:
-            label = "{}-{}".format(*sp.pulse.transition)
-            rows += [(offset + t, amp, label) for t, amp in sp.shape.breakpoints]
+        label = "{}-{}".format(*sp.pulse.transition)
+        rows += [(offset + t, amp, label) for t, amp in sp.shape.breakpoints]
     return csv_table(("time", "amplitude", "transition"), rows)
 
 

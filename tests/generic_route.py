@@ -151,8 +151,8 @@ def rwa_interaction(pulse, shape, dipole: float, dimension: int):
     C = D * realized_area; the baseline contribution is reported by the
     shape, not folded into the rotation.
     """
-    if shape is None:
-        raise ValidationError("pulse has no shape; synthesize envelopes before propagation")
+    if not shape.breakpoints:
+        raise ValidationError("pulse has no breakpoints; synthesize envelopes before propagation")
     k = pulse.transition[0]
     if pulse.transition[1] > dimension:
         raise ValidationError(f"transition {pulse.transition} exceeds dimension {dimension}")
@@ -179,7 +179,7 @@ def schedule_hamiltonian(sched: PulseSchedule, dipoles=None):
     d = sched.dimension
     spans = []
     for sp, t0 in zip(sched.pulses, sched.start_times.tolist()):
-        dur = sp.shape.duration if sp.shape else 0.0
+        dur = sp.shape.duration
         d_k = _dipole(dipoles, sp.pulse.transition[0], sp.dipole)
         gen = rwa_interaction(sp.pulse, sp.shape, d_k, d)
         spans.append((t0, t0 + dur, gen))

@@ -41,6 +41,6 @@ def early_pulse_schedule(shift=-1.0):
     sched = schedule(target, PulseConstraints(amplitude_max=1.0))
     sp = sched.pulses[1]
     points = tuple((t + shift, a) for t, a in sp.shape.breakpoints)
-    shape = dataclasses.replace(sp.shape, breakpoints=points, duration=points[-1][0])
+    shape = dataclasses.replace(sp.shape, breakpoints=points)
     pulses = [sched.pulses[0], dataclasses.replace(sp, shape=shape), *sched.pulses[2:]]
     return PulseSchedule(pulses=pulses, residual_phases=sched.residual_phases), target

@@ -521,6 +521,12 @@ def _no_residual_phases(payload):
     payload["schedule"]["residual_phases"] = []
 
 
+def _stray_duration(payload):
+    # a second pulse with no breakpoints but a duration, which total_time leaves out
+    pulses = payload["schedule"]["pulses"]
+    pulses.append(dict(pulses[0], breakpoints=[], duration=5.0))
+
+
 def _early_pulse(payload):
     del payload["rho0"]
     sched, target = early_pulse_schedule(-1.0)
@@ -534,6 +540,7 @@ def _early_pulse(payload):
         pytest.param(_target_3x3, ["target", "dimension 2"], id="target-of-another-dimension"),
         pytest.param(_no_residual_phases, ["residual_phases"], id="empty-residual-phases"),
         pytest.param(_early_pulse, ["pulse 1", "breakpoint"], id="envelope-before-its-pulse"),
+        pytest.param(_stray_duration, ["pulse 1", "duration"], id="duration-without-breakpoints"),
     ],
 )
 def test_malformed_simulate_schedule_exits_2_naming_it(tmp_path, capsys, edit, words):
@@ -555,4 +562,21 @@ def test_jc_flight_angle_past_the_float_range_exits_3(tmp_path, capsys):
     assert main(["jc", "--in", str(f), "--out", str(outdir)]) == 3
     err = capsys.readouterr().err
     assert "flight angle overflows" in err and "Traceback" not in err
+    assert not outdir.exists()
+
+
+def test_synth_with_subnormal_slews_exits_2_naming_both(tmp_path, capsys):
+    problem = {
+        "mode": "synth",
+        "payload": {
+            "target": {"dim": 2, "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]},
+            "constraints": {"amplitude_max": 1.0, "slew_max": 1e-310, "slew_min": -1e-310},
+        },
+    }
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(problem))
+    outdir = tmp_path / "out"
+    assert main(["synth", "--in", str(f), "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "slew_max" in err and "slew_min" in err and "Traceback" not in err
     assert not outdir.exists()

@@ -171,7 +171,7 @@ def test_two_pair_swap_schedule_moves_populations():
 
 
 def test_rwa_interaction_zero_envelope():
-    shape = PulseShape(breakpoints=((0.0, 0.0), (1.0, 0.0)), duration=1.0, realized_area=0.0)
+    shape = PulseShape(breakpoints=((0.0, 0.0), (1.0, 0.0)))
     h = rwa_interaction(TransitionPulse(transition=(1, 2), area=0.0, phase=0.0), shape, 1.0, 2)
     assert np.abs(h(0.5)).max() == 0.0
 
@@ -262,9 +262,7 @@ def test_simulate_schedule_rejects_malformed_input():
     )
     with pytest.raises(ValidationError, match="exceeds dimension"):
         simulate_schedule(dataclasses.replace(sched, pulses=[outside]))
-    backwards = PulseShape(
-        breakpoints=((0.0, 0.0), (2.0, 1.0), (1.0, 0.0)), duration=1.0, realized_area=1.0
-    )
+    backwards = PulseShape(breakpoints=((0.0, 0.0), (2.0, 1.0), (1.0, 0.0)))
     reversed_pulse = dataclasses.replace(first, shape=backwards)
     with pytest.raises(ValidationError, match="breakpoint times"):
         simulate_schedule(dataclasses.replace(sched, pulses=[reversed_pulse]))
@@ -333,8 +331,6 @@ def test_batched_trajectory_takes_the_earlier_segment_at_a_jump():
     sched = schedule(random_unitary(rng, 3), SYM, dipoles=1.2)
     stepped = PulseShape(
         breakpoints=((0.0, 0.0), (0.5, 0.8), (0.5, 0.3), (1.0, 0.6), (1.5, 0.4), (1.5, 0.0)),
-        duration=1.5,
-        realized_area=0.0,
     )
     jumpy = dataclasses.replace(sched, pulses=[dataclasses.replace(sp, shape=stepped) for sp in sched.pulses])
     rho0 = random_density(rng, 3)
@@ -355,12 +351,6 @@ def test_simulate_schedule_plays_the_envelope_not_the_stored_area():
     def tampered(edit):
         pulses = [dataclasses.replace(sp, shape=edit(sp.shape)) for sp in sched.pulses]
         return dataclasses.replace(sched, pulses=pulses)
-
-    def misstate(sh):
-        return dataclasses.replace(sh, realized_area=3.0 * sh.realized_area + 1.0)
-
-    wrong_area = tampered(misstate)
-    assert simulate_schedule(wrong_area, dipoles=1.7, target=u_target).fidelity_to_target == honest
 
     def halve(sh):
         points = tuple((t, sh.baseline + 0.5 * (a - sh.baseline)) for t, a in sh.breakpoints)

@@ -9,6 +9,7 @@ from qbond.errors import ValidationError
 from qbond.pulse_synthesis import (
     PulseConstraints,
     PulseSchedule,
+    PulseShape,
     ScheduledPulse,
     TransitionPulse,
     area_phase_from_column,
@@ -175,6 +176,33 @@ def test_non_finite_input_is_rejected():
         PulseConstraints(amplitude_max=math.inf)
     with pytest.raises(ValidationError, match="finite"):
         PulseConstraints(amplitude_max=1.0, slew_min=-math.nan)
+
+
+def test_pulse_shape_is_its_breakpoints():
+    assert [f.name for f in dataclasses.fields(PulseShape)] == ["breakpoints"]
+    shape = PulseShape(((0.0, 0.25), (1.0, 1.25), (3.0, 1.25), (4.0, 0.25)))
+    assert shape.duration == 4.0
+    assert shape.baseline == 0.25
+    assert shape.realized_area == 0.5 + 2.0 + 0.5
+    assert shape.baseline_leakage == 1.0
+    empty = PulseShape(())
+    assert (empty.duration, empty.baseline, empty.realized_area, empty.baseline_leakage) == (0.0, 0.0, 0.0, 0.0)
+    # unshaped means no breakpoints: the default envelope, and the decomposition's
+    assert ScheduledPulse(pulse=_pulse(1, 0.5, 0.0)).shape == empty
+    plan = givens_decompose(random_unitary(np.random.default_rng(31), 4))
+    assert plan.pulses and all(sp.shape == empty for sp in plan.pulses)
+    assert plan.total_time == 0.0 and not plan.start_times.any()
+
+
+def test_subnormal_slews_are_refused_not_shaped_to_nothing():
+    # 1 / slew_max + 1 / |slew_min| overflows to inf, which collapsed every envelope to zero
+    for slew_max, slew_min in ((1e-310, -1.0), (1.0, -1e-310), (1e-310, -1e-310)):
+        with pytest.raises(ValidationError, match=r"slew_max .* slew_min .* ramp factor"):
+            PulseConstraints(amplitude_max=1.0, slew_max=slew_max, slew_min=slew_min)
+    # a slow but normal slew still shapes the area it is asked for
+    shape = shape_pulse(1.0, PulseConstraints(amplitude_max=1.0, slew_max=1e-300, slew_min=-1.0))
+    assert shape.duration > 0.0
+    assert abs(shape.realized_area - 1.0) <= 1e-9
 
 
 def test_shape_pulse_zero_area():

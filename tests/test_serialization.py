@@ -140,6 +140,40 @@ def test_schedule_from_json_rejects_inconsistent_duration():
         schedule_from_json(doc)
 
 
+def _two_pulse_doc():
+    pulse = {"transition": [1, 2], "area": 0.5, "phase": 0.0, "breakpoints": [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]}
+    return {
+        "pulses": [dict(pulse, duration=2.0), dict(pulse, duration=2.0)],
+        "residual_phases": [0.0, 0.0],
+        "total_time": 4.0,
+    }
+
+
+def test_schedule_from_json_checks_the_duration_of_a_pulse_without_breakpoints():
+    doc = _two_pulse_doc()
+    doc["pulses"][1].update(breakpoints=[], duration=5.0)
+    doc["total_time"] = 2.0
+    with pytest.raises(ValidationError, match="pulse 1: duration 5.0"):
+        schedule_from_json(doc)
+    doc["pulses"][1]["duration"] = 0.0
+    sched = schedule_from_json(doc)
+    assert sched.pulses[1].shape.breakpoints == ()
+    assert sched.start_times.tolist() == [0.0, 2.0] and sched.total_time == 2.0
+
+
+def test_schedule_from_json_clock_follows_the_breakpoints_not_the_stored_duration():
+    doc = _two_pulse_doc()
+    doc["pulses"][0]["duration"] = 2.0 * (1.0 + 5e-10)
+    doc["total_time"] = doc["pulses"][0]["duration"] + 2.0
+    sched = schedule_from_json(doc)
+    assert sched.start_times.tolist() == [0.0, 2.0]
+    assert sched.total_time == 4.0
+    assert schedule_to_json(sched)["pulses"][0]["duration"] == 2.0
+    doc["pulses"][0]["duration"] = 2.0 * (1.0 + 2e-9)
+    with pytest.raises(ValidationError, match="pulse 0: duration"):
+        schedule_from_json(doc)
+
+
 def test_schedule_from_json_rejects_total_time_off_the_durations():
     sched = schedule(random_unitary(np.random.default_rng(29), 3), PulseConstraints(amplitude_max=1.0))
     doc = json.loads(json.dumps(schedule_to_json(sched)))
@@ -192,7 +226,7 @@ def _sequential_clock(sched):
     starts, t = [], 0.0
     for sp in sched.pulses:
         starts.append(t)
-        if sp.shape is not None:
+        if sp.shape.breakpoints:
             t += sp.shape.duration
     return starts, t
 
@@ -221,12 +255,12 @@ def test_every_reader_of_the_schedule_clock_sees_the_same_times():
         want = [
             repr(start + t)
             for start, sp in zip(sched.start_times.tolist(), sched.pulses)
-            if sp.shape is not None
+            if sp.shape.breakpoints
             for t, _ in sp.shape.breakpoints
         ]
         lines = envelope_csv(sched).strip().split("\n")[1:]
         assert [line.split(",")[0] for line in lines] == want
-        if any(sp.shape is None for sp in sched.pulses):
+        if any(not sp.shape.breakpoints for sp in sched.pulses):
             with pytest.raises(ValidationError, match="unshaped"):
                 _segments(sched, None)
             continue
