@@ -56,7 +56,6 @@ from .pulse_synthesis import (
     PulseConstraints,
     PulseSchedule,
     PulseShape,
-    ScheduledPulse,
     TransitionPulse,
     area_phase_from_column,
     givens_decompose,
@@ -92,7 +91,6 @@ __all__ = [
     "PulseConstraints",
     "PulseSchedule",
     "PulseShape",
-    "ScheduledPulse",
     "SpectralDecomposition",
     "TransitionPulse",
     "TunnelingEstimate",

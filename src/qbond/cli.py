@@ -48,7 +48,7 @@ MASS_UNITS = {"kg": 1.0, "m_e": ELECTRON_MASS_KG}
 def _quantity(obj, units: dict, what: str) -> float:
     ser.require_keys(obj, {"value", "unit"}, what=what)
     unit = obj["unit"]
-    if unit not in units:
+    if not (isinstance(unit, str) and unit in units):
         raise ValidationError(f"{what}: unknown unit {unit!r}, expected one of {sorted(units)}")
     return ser._number(obj["value"], what, "value") * units[unit]
 

@@ -102,7 +102,7 @@ def _segments(sched: PulseSchedule, dipoles) -> _Segments:
     breakpoints is unshaped and refused.
     """
     # the range check reconstruct makes: a transition beyond the dimension raises
-    _row_pairs([sp.pulse.transition[0] for sp in sched.pulses], sched.dimension)
+    _row_pairs([sp.transition[0] for sp in sched.pulses], sched.dimension)
     pieces = []
     for n, (sp, offset) in enumerate(zip(sched.pulses, sched.start_times.tolist())):
         points = sp.shape.breakpoints
@@ -111,14 +111,14 @@ def _segments(sched: PulseSchedule, dipoles) -> _Segments:
         if points[0][0] < 0:
             # its envelope would reach back into the pulse before it
             raise ValidationError(f"pulse {n}: breakpoint times must start at 0 or later, got {points[0][0]}")
-        k = sp.pulse.transition[0]
+        k = sp.transition[0]
         d_k = _dipole(dipoles, k, sp.dipole)
         base = sp.shape.baseline
         for (t0, a0), (t1, a1) in zip(points[:-1], points[1:]):
             if t1 < t0:
                 raise ValidationError(f"breakpoint times must not decrease, got {t0} then {t1}")
             if t1 > t0:
-                pieces.append((offset + t0, offset + t1, k, d_k, sp.pulse.phase, a0 - base, a1 - base))
+                pieces.append((offset + t0, offset + t1, k, d_k, sp.phase, a0 - base, a1 - base))
     columns = np.array(pieces, dtype=float).reshape(-1, 7).T
     return _Segments(columns[0], columns[1], columns[2].astype(int), *columns[3:])
 
@@ -187,7 +187,15 @@ def simulate_schedule(
             raise ValidationError(f"target has shape {target.shape}, the schedule acts on dimension {d}")
     segs = _segments(sched, dipoles)
     n_segs = len(segs.k)
-    blocks = _blocks(segs.full_area(), segs.phase)
+    with np.errstate(over="ignore"):
+        areas = segs.full_area()
+    if not np.isfinite(areas).all():
+        i = int(np.flatnonzero(~np.isfinite(areas))[0])
+        raise NumericalError(
+            f"the envelope segment from t = {segs.t_lo[i]} to {segs.t_hi[i]} on transition "
+            f"({segs.k[i]}, {segs.k[i] + 1}) plays an area past the float range"
+        )
+    blocks = _blocks(areas, segs.phase)
     lows = (segs.k - 1).tolist()
     u = np.eye(d, dtype=complex)
     result = PropagationResult(final_unitary=u, times=np.array([0.0, max(sched.total_time, 0.0)]))

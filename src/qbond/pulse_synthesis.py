@@ -35,10 +35,11 @@ Shaping turns each area into a minimum-duration piecewise-linear envelope
 under amplitude and slew bounds: a triangle when the required peak stays
 below the cap, otherwise a trapezoid riding at the cap. An envelope
 (PulseShape) is its breakpoints and nothing else: its duration, baseline
-and realized area are read off them, and an unshaped pulse has none. Each
-shaped pulse records the dipole D_k it was shaped for. Pulses play back
-to back: PulseSchedule.start_times and total_time read one running sum of
-the durations, the one clock that places pulses in time.
+and realized area are read off them, and an unshaped pulse has none. A
+pulse is one record, TransitionPulse: transition, area, phase, shape (the
+envelope) and dipole (the D_k the envelope was shaped for). Pulses play
+back to back: PulseSchedule.start_times and total_time read one running
+sum of the durations, the one clock that places pulses in time.
 """
 
 from __future__ import annotations
@@ -60,26 +61,6 @@ def _wrap_angle(angle):
     """Map to (-pi, pi], elementwise for arrays."""
     a = np.fmod(np.add(angle, math.pi), 2.0 * math.pi)
     return np.where(a <= 0.0, a + 2.0 * math.pi, a) - math.pi
-
-
-@dataclass(frozen=True)
-class TransitionPulse:
-    """Resonant pulse on one nearest-neighbor transition.
-
-    transition is the 1-based level pair (k, k+1); area is the rotation
-    coefficient C in [0, pi); phase is the carrier phase in (-pi, pi].
-    """
-
-    transition: tuple[int, int]
-    area: float
-    phase: float
-
-    def __post_init__(self):
-        k, k1 = self.transition
-        if k1 != k + 1 or k < 1:
-            raise ValidationError(f"transition must be (k, k+1) with k >= 1, got {self.transition}")
-        if not (0.0 <= self.area < math.pi):
-            raise ValidationError(f"area must lie in [0, pi), got {self.area}")
 
 
 @dataclass(frozen=True)
@@ -157,15 +138,28 @@ class PulseShape:
 
 
 @dataclass(frozen=True)
-class ScheduledPulse:
-    """A pulse, its envelope (PulseShape(()) when unshaped) and the dipole D_k the envelope was shaped for."""
+class TransitionPulse:
+    """Resonant pulse on one nearest-neighbor transition, and the envelope that plays it.
 
-    pulse: TransitionPulse
+    transition is the 1-based level pair (k, k+1); area is the rotation
+    coefficient C in [0, pi); phase is the carrier phase in (-pi, pi];
+    shape is the envelope (PulseShape(()) when unshaped) and dipole the
+    D_k it was shaped for.
+    """
+
+    transition: tuple[int, int]
+    area: float
+    phase: float
     shape: PulseShape = PulseShape(())
     dipole: float = 1.0
 
     def __post_init__(self):
-        _dipole(None, self.pulse.transition[0], self.dipole)
+        k, k1 = self.transition
+        if k1 != k + 1 or k < 1:
+            raise ValidationError(f"transition must be (k, k+1) with k >= 1, got {self.transition}")
+        if not (0.0 <= self.area < math.pi):
+            raise ValidationError(f"area must lie in [0, pi), got {self.area}")
+        _dipole(None, k, self.dipole)
 
 
 @dataclass
@@ -178,7 +172,7 @@ class PulseSchedule:
         (product of pulse unitaries, leftmost = last applied) @ R^dag = target.
     """
 
-    pulses: list[ScheduledPulse]
+    pulses: list[TransitionPulse]
     residual_phases: np.ndarray
 
     @property
@@ -214,8 +208,8 @@ class PulseSchedule:
         Any pulse order works; a transition beyond the dimension raises.
         """
         d = self.dimension
-        rows = _row_pairs([sp.pulse.transition[0] for sp in self.pulses], d)
-        blocks = _blocks([sp.pulse.area for sp in self.pulses], [sp.pulse.phase for sp in self.pulses])
+        rows = _row_pairs([sp.transition[0] for sp in self.pulses], d)
+        blocks = _blocks([sp.area for sp in self.pulses], [sp.phase for sp in self.pulses])
         free = [0] * d
         layers: list[list[int]] = []
         for i, (lo, hi) in enumerate(rows.tolist()):
@@ -348,7 +342,7 @@ def givens_decompose(target) -> PulseSchedule:
     keep = np.flatnonzero(areas > 0.0)[::-1]
     # the schedule applies the adjoint eliminations in reverse: same area, phase shifted by pi
     pulses = [
-        ScheduledPulse(pulse=TransitionPulse(transition=(k, k + 1), area=a, phase=p))
+        TransitionPulse(transition=(k, k + 1), area=a, phase=p)
         for k, a, p in zip(
             rows[keep].astype(int).tolist(),
             areas[keep].tolist(),
@@ -386,6 +380,11 @@ def shape_pulse(area_required: float, constraints: PulseConstraints) -> PulseSha
 
     base = constraints.amplitude_min
     peak = math.sqrt(2.0 * area_required / ramp_factor)
+    if not peak > 0.0:
+        raise ValidationError(
+            f"area {area_required} with slew_max {constraints.slew_max} and slew_min "
+            f"{constraints.slew_min}: the triangle peak sqrt(2 area / ramp factor) underflows to 0"
+        )
     if peak <= cap:
         rise = peak / rate_up
         fall = peak / rate_down
@@ -419,18 +418,18 @@ def schedule(target, constraints, dipoles=None) -> PulseSchedule:
         lower level k. Defaults to 1.0.
 
     The envelope of pulse m must integrate to C_m / D_k above baseline;
-    each ScheduledPulse records the D_k it was shaped for.
+    each pulse records the D_k it was shaped for.
     """
     plan = givens_decompose(target)
-    shaped: list[ScheduledPulse] = []
+    shaped: list[TransitionPulse] = []
     for sp in plan.pulses:
-        k = sp.pulse.transition[0]
+        k = sp.transition[0]
         d_k = _dipole(dipoles, k)
         limits = _lookup(constraints, k, what="constraints")
         if limits is None:
             raise ValidationError(f"no constraints provided for transition ({k}, {k + 1})")
-        shape = shape_pulse(sp.pulse.area / d_k, limits)
-        shaped.append(ScheduledPulse(pulse=sp.pulse, shape=shape, dipole=d_k))
+        shape = shape_pulse(sp.area / d_k, limits)
+        shaped.append(TransitionPulse(sp.transition, sp.area, sp.phase, shape=shape, dipole=d_k))
     return PulseSchedule(pulses=shaped, residual_phases=plan.residual_phases)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .binding import BindingEnergyReport
 from .errors import ValidationError
-from .pulse_synthesis import PulseSchedule, PulseShape, ScheduledPulse, TransitionPulse
+from .pulse_synthesis import PulseSchedule, PulseShape, TransitionPulse
 
 MATRIX_KEYS = {"dim", "re", "im"}
 _DURATION_RTOL = 1e-9           # stored durations against the breakpoints they summarize
@@ -103,9 +103,9 @@ def binding_report_to_json(report: BindingEnergyReport) -> dict:
 def schedule_to_json(sched: PulseSchedule) -> dict:
     pulses = [
         {
-            "transition": list(sp.pulse.transition),
-            "area": sp.pulse.area,
-            "phase": sp.pulse.phase,
+            "transition": list(sp.transition),
+            "area": sp.area,
+            "phase": sp.phase,
             "breakpoints": [[t, a] for t, a in sp.shape.breakpoints],
             "duration": sp.shape.duration,
             "dipole": sp.dipole,
@@ -139,15 +139,15 @@ def schedule_from_json(obj: dict) -> PulseSchedule:
         levels = _numbers(p["transition"], what, "transition")
         if len(levels) != 2 or not all(x.is_integer() for x in levels):
             raise ValidationError(f"{what}: transition must be two integer levels, got {p['transition']!r}")
-        pulse = TransitionPulse(transition=(int(levels[0]), int(levels[1])), area=area, phase=phase)
         flat = _numbers(_flat_rows(p["breakpoints"], 2, what, "breakpoints"), what, "breakpoints")
         shape = PulseShape(tuple(zip(flat[0::2], flat[1::2])))
+        pulse = TransitionPulse((int(levels[0]), int(levels[1])), area, phase, shape=shape, dipole=dipole)
         if abs(shape.duration - duration) > _DURATION_RTOL * max(1.0, duration):
             raise ValidationError(
                 f"{what}: duration {duration} differs from {shape.duration}, "
                 "the envelope's last breakpoint time (0.0 when it has none)"
             )
-        pulses.append(ScheduledPulse(pulse=pulse, shape=shape, dipole=dipole))
+        pulses.append(pulse)
     residual = np.array(_numbers(obj["residual_phases"], "schedule", "residual_phases"))
     if not residual.size:
         raise ValidationError("schedule: residual_phases is empty; it holds one phase per level")
@@ -189,7 +189,7 @@ def envelope_csv(sched: PulseSchedule) -> str:
     """
     rows = []
     for sp, offset in zip(sched.pulses, sched.start_times.tolist()):
-        label = "{}-{}".format(*sp.pulse.transition)
+        label = "{}-{}".format(*sp.transition)
         rows += [(offset + t, amp, label) for t, amp in sp.shape.breakpoints]
     return csv_table(("time", "amplitude", "transition"), rows)
 

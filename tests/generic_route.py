@@ -180,8 +180,8 @@ def schedule_hamiltonian(sched: PulseSchedule, dipoles=None):
     spans = []
     for sp, t0 in zip(sched.pulses, sched.start_times.tolist()):
         dur = sp.shape.duration
-        d_k = _dipole(dipoles, sp.pulse.transition[0], sp.dipole)
-        gen = rwa_interaction(sp.pulse, sp.shape, d_k, d)
+        d_k = _dipole(dipoles, sp.transition[0], sp.dipole)
+        gen = rwa_interaction(sp, sp.shape, d_k, d)
         spans.append((t0, t0 + dur, gen))
 
     def h_of_t(t: float) -> np.ndarray:

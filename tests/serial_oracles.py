@@ -68,12 +68,12 @@ def serial_trajectory(sched, rho, times, dipole=None):
     segments = []
     offset = 0.0
     for sp in sched.pulses:
-        k = sp.pulse.transition[0]
+        k = sp.transition[0]
         d_k = sp.dipole if dipole is None else dipole
         base = sp.shape.baseline
         for (t0, a0), (t1, a1) in zip(sp.shape.breakpoints[:-1], sp.shape.breakpoints[1:]):
             if t1 > t0:
-                segments.append((offset + t0, offset + t1, k, d_k, sp.pulse.phase, a0 - base, a1 - base))
+                segments.append((offset + t0, offset + t1, k, d_k, sp.phase, a0 - base, a1 - base))
         offset += sp.shape.duration
 
     def area(seg, t):

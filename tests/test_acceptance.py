@@ -92,7 +92,7 @@ def test_criterion_03_two_pair_swap_pulse_sequence():
     target[2, 0] = target[0, 2] = 1.0
     target[3, 1] = target[1, 3] = 1.0
     sched = givens_decompose(target)
-    transitions = [sp.pulse.transition for sp in sched.pulses]
+    transitions = [sp.transition for sp in sched.pulses]
     assert transitions == [(2, 3), (1, 2), (3, 4), (2, 3)]
     residue = np.abs(sched.reconstruct() - target).max()
     assert residue < 1e-10

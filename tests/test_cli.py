@@ -580,3 +580,92 @@ def test_synth_with_subnormal_slews_exits_2_naming_both(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "slew_max" in err and "slew_min" in err and "Traceback" not in err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("unit", [[], {}, ["eV"]], ids=["list", "object", "list-of-unit"])
+def test_well_unit_that_is_not_a_string_exits_2(tmp_path, capsys, unit):
+    problem = _edited("well_standard.json", lambda p: p["v0"].update(unit=unit))
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(problem))
+    outdir = tmp_path / "out"
+    assert main(["well", "--in", str(f), "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "v0: unknown unit" in err and "Traceback" not in err
+    assert not outdir.exists()
+
+
+def test_synth_with_an_envelope_that_underflows_exits_2(tmp_path, capsys):
+    # slews of 1e-300 shape the area pi / 2 / 1e300 into a triangle whose peak underflows to 0
+    problem = {
+        "mode": "synth",
+        "payload": {
+            "target": {"dim": 2, "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]},
+            "constraints": {"amplitude_max": 1.0, "slew_max": 1e-300, "slew_min": -1e-300},
+            "dipoles": 1e300,
+        },
+    }
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(problem))
+    outdir = tmp_path / "out"
+    assert main(["synth", "--in", str(f), "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "underflows" in err and "Traceback" not in err
+    assert not outdir.exists()
+
+
+HOSTILE = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-320, 0, -1, 2**63, True, None, "x", [], {}, [1.0]]
+_DROP = object()
+
+
+def _leaves(node, path=()):
+    """Paths to the scalar leaves of a payload; of a list of lists (matrix rows, breakpoints) only the first."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaves(child, path + (key,))
+    elif isinstance(node, list):
+        rows = node[:1] if node and all(isinstance(x, list) for x in node) else node
+        for i, child in enumerate(rows):
+            yield from _leaves(child, path + (i,))
+    else:
+        yield path
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_cli_sweep_exits_0_2_or_3_and_writes_only_standard_json(tmp_path, capsys):
+    # every payload leaf of every bundled problem, replaced by each hostile value or dropped
+    crashes, bad_codes = [], []
+    f, outdir = tmp_path / "p.json", tmp_path / "out"
+    for name in sorted(os.listdir(PROBLEMS)):
+        with open(os.path.join(PROBLEMS, name)) as fh:
+            problem = json.load(fh)
+        for path in _leaves(problem["payload"]):
+            for value in HOSTILE + [_DROP]:
+                doc = json.loads(json.dumps(problem))
+                *head, last = path
+                parent = doc["payload"]
+                for key in head:
+                    parent = parent[key]
+                if value is _DROP:
+                    del parent[last]
+                else:
+                    parent[last] = value
+                f.write_text(json.dumps(doc))
+                case = (name, path, "drop" if value is _DROP else value)
+                try:
+                    code = main([doc["mode"], "--in", str(f), "--out", str(outdir)])
+                except Exception as exc:  # collected, so one run reports every escape
+                    crashes.append((case, repr(exc)))
+                    continue
+                if code not in (0, 2, 3):
+                    bad_codes.append((case, code))
+                if outdir.exists():
+                    for out in outdir.iterdir():
+                        if out.suffix == ".json":
+                            json.loads(out.read_text(), parse_constant=_refuse_constant)
+                        out.unlink()
+                capsys.readouterr()
+    assert not crashes, crashes[:5]
+    assert not bad_codes, bad_codes[:5]

@@ -192,6 +192,13 @@ def test_density_validation_rejects_bad_states():
         validate_unitary(np.diag([1.0, 2.0]))
 
 
+def test_unitary_validation_refuses_a_residual_that_overflows_to_nan():
+    # U U^dag sums +inf and -inf here, so the residual is NaN, which no tolerance comparison accepts
+    a = 1e308 * (1 + 1j)
+    with pytest.raises(ValidationError, match="not unitary"):
+        validate_unitary(np.array([[a, a], [a, -a]]))
+
+
 def test_bipartite_index_round_trip():
     split = BipartiteSplit(3, 4)
     for i in range(3):

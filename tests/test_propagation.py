@@ -257,9 +257,7 @@ def test_simulate_schedule_rejects_malformed_input():
     with pytest.raises(ValidationError, match="rho0"):
         simulate_schedule(sched, rho0=np.eye(2) / 2.0)
     first = sched.pulses[0]
-    outside = dataclasses.replace(
-        first, pulse=TransitionPulse(transition=(3, 4), area=first.pulse.area, phase=0.0)
-    )
+    outside = dataclasses.replace(first, transition=(3, 4), phase=0.0)
     with pytest.raises(ValidationError, match="exceeds dimension"):
         simulate_schedule(dataclasses.replace(sched, pulses=[outside]))
     backwards = PulseShape(breakpoints=((0.0, 0.0), (2.0, 1.0), (1.0, 0.0)))

@@ -10,7 +10,6 @@ from qbond.pulse_synthesis import (
     PulseConstraints,
     PulseSchedule,
     PulseShape,
-    ScheduledPulse,
     TransitionPulse,
     area_phase_from_column,
     givens_decompose,
@@ -79,6 +78,9 @@ def test_transition_pulse_validation():
         TransitionPulse(transition=(1, 2), area=-0.1, phase=0.0)
     with pytest.raises(ValidationError):
         pulse_unitary(_pulse(4, 0.1, 0.0), 4)
+    for dipole in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match=r"dipole for transition \(1, 2\) must be finite and positive"):
+            TransitionPulse(transition=(1, 2), area=0.1, phase=0.0, dipole=dipole)
 
 
 def test_area_phase_trivial_columns():
@@ -122,7 +124,7 @@ def test_givens_two_pair_swap_sequence():
     target[2, 0] = target[0, 2] = 1.0
     target[3, 1] = target[1, 3] = 1.0
     sched = givens_decompose(target)
-    transitions = [sp.pulse.transition for sp in sched.pulses]
+    transitions = [sp.transition for sp in sched.pulses]
     assert transitions == [(2, 3), (1, 2), (3, 4), (2, 3)]
     assert np.abs(sched.reconstruct() - target).max() < 1e-10
 
@@ -135,7 +137,7 @@ def test_givens_random_unitaries_reconstruct():
             sched = givens_decompose(u)
             assert len(sched.pulses) <= d * (d - 1) // 2
             for sp in sched.pulses:
-                k, kp = sp.pulse.transition
+                k, kp = sp.transition
                 assert kp == k + 1
             assert np.abs(sched.reconstruct() - u).max() < 1e-10
 
@@ -154,7 +156,7 @@ def test_reconstruct_matches_dense_pulse_product():
         sched = givens_decompose(u)
         dense = np.eye(d, dtype=complex)
         for sp in sched.pulses:
-            dense = pulse_unitary(sp.pulse, d) @ dense
+            dense = pulse_unitary(sp, d) @ dense
         dense = dense @ np.diag(np.exp(1j * sched.residual_phases)).conj().T
         assert np.abs(sched.reconstruct() - dense).max() < 1e-13
 
@@ -188,7 +190,7 @@ def test_pulse_shape_is_its_breakpoints():
     empty = PulseShape(())
     assert (empty.duration, empty.baseline, empty.realized_area, empty.baseline_leakage) == (0.0, 0.0, 0.0, 0.0)
     # unshaped means no breakpoints: the default envelope, and the decomposition's
-    assert ScheduledPulse(pulse=_pulse(1, 0.5, 0.0)).shape == empty
+    assert _pulse(1, 0.5, 0.0).shape == empty
     plan = givens_decompose(random_unitary(np.random.default_rng(31), 4))
     assert plan.pulses and all(sp.shape == empty for sp in plan.pulses)
     assert plan.total_time == 0.0 and not plan.start_times.any()
@@ -199,6 +201,9 @@ def test_subnormal_slews_are_refused_not_shaped_to_nothing():
     for slew_max, slew_min in ((1e-310, -1.0), (1.0, -1e-310), (1e-310, -1e-310)):
         with pytest.raises(ValidationError, match=r"slew_max .* slew_min .* ramp factor"):
             PulseConstraints(amplitude_max=1.0, slew_max=slew_max, slew_min=slew_min)
+    # a positive area whose triangle peak sqrt(2 area / ramp factor) underflows is refused, not shaped flat
+    with pytest.raises(ValidationError, match=r"area 1e-300 with slew_max 1e-300 and slew_min -1e-300"):
+        shape_pulse(1e-300, PulseConstraints(1.0, 0.0, 1e-300, -1e-300))
     # a slow but normal slew still shapes the area it is asked for
     shape = shape_pulse(1.0, PulseConstraints(amplitude_max=1.0, slew_max=1e-300, slew_min=-1.0))
     assert shape.duration > 0.0
@@ -306,7 +311,7 @@ def test_schedule_total_time_is_sum_of_closed_forms():
         sched = schedule(u, SYM)
         total = 0.0
         for sp in sched.pulses:
-            area = sp.pulse.area  # dipole defaults to 1
+            area = sp.area  # dipole defaults to 1
             peak = math.sqrt(area * SYM.slew_max)
             if peak <= SYM.amplitude_max:
                 total += triangle_duration(area, SYM.slew_max)
@@ -341,8 +346,8 @@ def test_schedule_per_transition_tables():
     dipoles = {1: 2.0, 2: 1.0, 3: 0.5}
     sched = schedule(target, constraints, dipoles=dipoles)
     for sp in sched.pulses:
-        k = sp.pulse.transition[0]
-        envelope_area = sp.pulse.area / dipoles[k]
+        k = sp.transition[0]
+        envelope_area = sp.area / dipoles[k]
         assert abs(sp.shape.realized_area - envelope_area) <= 1e-9 * envelope_area
         amps = [a for _, a in sp.shape.breakpoints]
         assert max(amps) <= constraints[k].amplitude_max + 1e-12
@@ -390,9 +395,9 @@ def test_wavefront_matches_serial_reck_loop(family):
     for target in family():
         sched = givens_decompose(target)
         pulses, residual = reck_decompose(target)
-        assert [sp.pulse.transition for sp in sched.pulses] == [t for t, _, _ in pulses]
+        assert [sp.transition for sp in sched.pulses] == [t for t, _, _ in pulses]
         if pulses:
-            got = np.array([(sp.pulse.area, sp.pulse.phase) for sp in sched.pulses])
+            got = np.array([(sp.area, sp.phase) for sp in sched.pulses])
             want = np.array([(a, p) for _, a, p in pulses])
             assert np.abs(got - want).max() <= 1e-12
         assert np.abs(sched.residual_phases - residual).max() <= 1e-12
@@ -416,21 +421,21 @@ def test_reconstruct_layers_any_pulse_order():
         train = givens_decompose(random_unitary(rng, d)).pulses
         shuffled = [train[i] for i in rng.permutation(len(train))]
         random_train = [
-            ScheduledPulse(pulse=_pulse(int(k), rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)))
+            _pulse(int(k), rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
             for k in rng.integers(1, d, size=3 * d)
         ]
         for pulses in (shuffled, random_train):
             sched = PulseSchedule(pulses=pulses, residual_phases=rng.uniform(-math.pi, math.pi, d))
             dense = np.eye(d, dtype=complex)
             for sp in sched.pulses:
-                dense = pulse_unitary(sp.pulse, d) @ dense
+                dense = pulse_unitary(sp, d) @ dense
             dense = dense @ sched.residual_matrix().conj().T
             assert np.abs(sched.reconstruct() - dense).max() < 1e-13
 
 
 def test_reconstruct_rejects_transition_beyond_dimension():
-    inside = ScheduledPulse(pulse=_pulse(1, 0.4, 0.2))
-    outside = ScheduledPulse(pulse=_pulse(3, 0.4, 0.2))
+    inside = _pulse(1, 0.4, 0.2)
+    outside = _pulse(3, 0.4, 0.2)
     with pytest.raises(ValidationError, match="exceeds dimension 3"):
         PulseSchedule(pulses=[inside, outside, inside], residual_phases=np.zeros(3)).reconstruct()
 
@@ -445,8 +450,8 @@ def test_wavefront_does_not_depend_on_memory_layout():
             assert not target.flags.c_contiguous
             sched = givens_decompose(target)
             pulses, residual = reck_decompose(np.ascontiguousarray(target))
-            assert [sp.pulse.transition for sp in sched.pulses] == [t for t, _, _ in pulses]
-            got = np.array([(sp.pulse.area, sp.pulse.phase) for sp in sched.pulses])
+            assert [sp.transition for sp in sched.pulses] == [t for t, _, _ in pulses]
+            got = np.array([(sp.area, sp.phase) for sp in sched.pulses])
             want = np.array([(a, p) for _, a, p in pulses])
             assert np.abs(got - want).max() <= 1e-12
             assert np.abs(sched.residual_phases - residual).max() <= 1e-12
@@ -467,8 +472,8 @@ def test_signed_zero_entries_give_the_same_schedule():
     assert np.abs(want.reconstruct() - plus).max() <= 1e-12
     for minus in signed:
         got = givens_decompose(minus)
-        assert [(sp.pulse.transition, sp.pulse.area, sp.pulse.phase) for sp in got.pulses] == [
-            (sp.pulse.transition, sp.pulse.area, sp.pulse.phase) for sp in want.pulses
+        assert [(sp.transition, sp.area, sp.phase) for sp in got.pulses] == [
+            (sp.transition, sp.area, sp.phase) for sp in want.pulses
         ]
         assert np.array_equal(got.residual_phases, want.residual_phases)
         assert np.abs(got.reconstruct() - minus).max() <= 1e-12

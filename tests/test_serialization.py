@@ -79,9 +79,9 @@ def test_schedule_round_trip():
     again = schedule_from_json(doc)
     assert len(again.pulses) == len(sched.pulses)
     for a, b in zip(again.pulses, sched.pulses):
-        assert a.pulse.transition == b.pulse.transition
-        assert a.pulse.area == b.pulse.area
-        assert a.pulse.phase == b.pulse.phase
+        assert a.transition == b.transition
+        assert a.area == b.area
+        assert a.phase == b.phase
         assert a.shape.breakpoints == b.shape.breakpoints
         assert abs(a.shape.realized_area - b.shape.realized_area) <= 1e-12 * max(
             1.0, b.shape.realized_area
@@ -97,7 +97,7 @@ def test_schedule_round_trip_keeps_recorded_dipoles():
     dipoles = {k: float(rng.uniform(0.5, 2.0)) for k in range(1, 4)}
     sched = schedule(u, PulseConstraints(amplitude_max=1.0), dipoles=dipoles)
     again = schedule_from_json(json.loads(json.dumps(schedule_to_json(sched))))
-    recorded = [dipoles[sp.pulse.transition[0]] for sp in sched.pulses]
+    recorded = [dipoles[sp.transition[0]] for sp in sched.pulses]
     assert [sp.dipole for sp in sched.pulses] == recorded
     assert [sp.dipole for sp in again.pulses] == recorded
 
@@ -197,7 +197,7 @@ def test_envelope_csv_has_one_row_per_breakpoint():
     offset, i = 0.0, 0
     for sp in sched.pulses:
         for t, amp in sp.shape.breakpoints:
-            assert rows[i] == (offset + t, amp, "{}-{}".format(*sp.pulse.transition))
+            assert rows[i] == (offset + t, amp, "{}-{}".format(*sp.transition))
             i += 1
         offset += sp.shape.duration
 
