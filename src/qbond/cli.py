@@ -248,7 +248,7 @@ def run_simulate(payload: dict, args) -> list[tuple[str, object]]:
     drift = float(np.abs(u @ u.conj().T - np.eye(sched.dimension)).max())
     doc = {
         "total_time": sched.total_time,
-        "pulse_count": len(sched.pulses),
+        "pulse_count": len(sched.areas),
         "unitarity_drift": drift,
         "final_unitary": ser.matrix_to_json(u),
         "fidelity_to_target": result.fidelity_to_target,

@@ -13,7 +13,8 @@ sampled on. With rho0, the propagator at each sample time is copied into a
 sample's running segment, and one batched product gives the states, so the
 trajectory holds at most three such stacks. D is the dipole recorded on
 each pulse unless dipoles overrides it; it is never inferred. Each pulse
-starts at its PulseSchedule.start_times entry.
+starts at its PulseSchedule.start_times entry, and its segments are slices
+of the schedule's breakpoint table.
 
 This is the library's only route from an envelope to its propagator. The
 test suite checks it against a generic midpoint spectral integrator of
@@ -29,8 +30,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .operators import as_square_matrix, hermitian_eigendecomposition, validate_density_matrix
-from .pulse_synthesis import PulseSchedule, _blocks, _dipole, _row_pairs
+from .operators import (
+    as_square_matrix,
+    hermitian_eigendecomposition,
+    validate_density_matrix,
+    validate_unitary,
+)
+from .pulse_synthesis import PulseSchedule, _blocks, _by_transition, _dipole, _row_pairs
 
 STEPS_PER_SEGMENT = 200
 COMMUTATOR_ATOL = 1e-8
@@ -98,29 +104,50 @@ class _Segments(NamedTuple):
 def _segments(sched: PulseSchedule, dipoles) -> _Segments:
     """Envelope segments of positive width, each pulse from its start_times entry.
 
-    Amplitudes are read from the breakpoints of each shape. A pulse with no
-    breakpoints is unshaped and refused.
+    Slices of the schedule's breakpoint table: rows j and j + 1 of one
+    pulse make a segment, amplitudes taken above that pulse's first
+    breakpoint amplitude. A pulse with no breakpoints is unshaped and
+    refused, as are breakpoint times that start before 0 or decrease.
     """
+    levels, offsets = sched.levels, sched.offsets
     # the range check reconstruct makes: a transition beyond the dimension raises
-    _row_pairs([sp.transition[0] for sp in sched.pulses], sched.dimension)
-    pieces = []
-    for n, (sp, offset) in enumerate(zip(sched.pulses, sched.start_times.tolist())):
-        points = sp.shape.breakpoints
-        if not points:
-            raise ValidationError("schedule contains unshaped pulses; run shaping first")
-        if points[0][0] < 0:
-            # its envelope would reach back into the pulse before it
-            raise ValidationError(f"pulse {n}: breakpoint times must start at 0 or later, got {points[0][0]}")
-        k = sp.transition[0]
-        d_k = _dipole(dipoles, k, sp.dipole)
-        base = sp.shape.baseline
-        for (t0, a0), (t1, a1) in zip(points[:-1], points[1:]):
-            if t1 < t0:
-                raise ValidationError(f"breakpoint times must not decrease, got {t0} then {t1}")
-            if t1 > t0:
-                pieces.append((offset + t0, offset + t1, k, d_k, sp.phase, a0 - base, a1 - base))
-    columns = np.array(pieces, dtype=float).reshape(-1, 7).T
-    return _Segments(columns[0], columns[1], columns[2].astype(int), *columns[3:])
+    _row_pairs(levels, sched.dimension)
+    counts = np.diff(offsets)
+    if not counts.all():
+        raise ValidationError("schedule contains unshaped pulses; run shaping first")
+    times, amps = sched.breakpoints.T
+    first = times[offsets[:-1]]
+    early = first < 0
+    if early.any():
+        # its envelope would reach back into the pulse before it
+        n = int(early.argmax())
+        raise ValidationError(f"pulse {n}: breakpoint times must start at 0 or later, got {float(first[n])}")
+    # row j opens a segment unless it is the last row of its pulse
+    opens = np.ones(len(times), dtype=bool)
+    opens[offsets[1:] - 1] = False
+    j = np.flatnonzero(opens)
+    t0, t1 = times[j], times[j + 1]
+    backwards = t1 < t0
+    if backwards.any():
+        i = int(backwards.argmax())
+        raise ValidationError(f"breakpoint times must not decrease, got {float(t0[i])} then {float(t1[i])}")
+    j = j[t1 > t0]
+    pulse = np.repeat(np.arange(len(counts)), counts)[j]
+    if dipoles is None:
+        d_k = sched.dipoles
+    else:
+        d_k = _by_transition(levels, lambda k: _dipole(dipoles, k), width=1)[:, 0]
+    start = sched.start_times[pulse]
+    base = amps[offsets[:-1]][pulse]
+    return _Segments(
+        start + times[j],
+        start + times[j + 1],
+        levels[pulse],
+        d_k[pulse],
+        sched.phases[pulse],
+        amps[j] - base,
+        amps[j + 1] - base,
+    )
 
 
 def _drive_energies(segs: _Segments, done: np.ndarray, times: np.ndarray, states) -> np.ndarray:
@@ -185,6 +212,10 @@ def simulate_schedule(
         target = as_square_matrix(target)
         if target.shape != (d, d):
             raise ValidationError(f"target has shape {target.shape}, the schedule acts on dimension {d}")
+        try:
+            validate_unitary(target)
+        except ValidationError as exc:
+            raise ValidationError(f"target: {exc}") from None
     segs = _segments(sched, dipoles)
     n_segs = len(segs.k)
     with np.errstate(over="ignore"):

@@ -33,18 +33,28 @@ returned as residual phases rather than synthesized.
 
 Shaping turns each area into a minimum-duration piecewise-linear envelope
 under amplitude and slew bounds: a triangle when the required peak stays
-below the cap, otherwise a trapezoid riding at the cap. An envelope
-(PulseShape) is its breakpoints and nothing else: its duration, baseline
-and realized area are read off them, and an unshaped pulse has none. A
-pulse is one record, TransitionPulse: transition, area, phase, shape (the
-envelope) and dipole (the D_k the envelope was shaped for). Pulses play
-back to back: PulseSchedule.start_times and total_time read one running
-sum of the durations, the one clock that places pulses in time.
+below the cap, otherwise a trapezoid riding at the cap. schedule shapes
+every pulse of a train in one numpy pass (_shape), looking up the dipole
+and the constraints once per transition, and refuses an envelope whose
+breakpoints do not realize C / D_k within REALIZED_AREA_RTOL.
+
+A PulseSchedule holds the train as columns: per pulse the lower level k,
+area, phase and dipole, and one (N, 2) table of envelope breakpoints in
+which pulse i owns rows offsets[i] to offsets[i+1]. An envelope is its
+breakpoints and nothing else, and an unshaped pulse owns none. The
+records, TransitionPulse (transition, area, phase, shape, dipole) with
+its PulseShape, are a view built on read (PulseSchedule.pulses) and a
+way to build a schedule by hand; the library itself reads the columns.
+Pulses play back to back: PulseSchedule.durations, start_times and
+total_time are array reads of one running sum of the durations, the one
+clock that places pulses in time, built once per schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
+from itertools import accumulate, chain
 import math
 
 import numpy as np
@@ -55,6 +65,8 @@ from .operators import as_square_matrix, validate_unitary
 # column entries at or below this magnitude are treated as already eliminated
 ELIMINATION_ATOL = 1e-13
 DIAGONAL_ATOL = 1e-10
+# a shaped envelope's realized area may differ from area / dipole by this much, relatively
+REALIZED_AREA_RTOL = 1e-6
 
 
 def _wrap_angle(angle):
@@ -89,8 +101,8 @@ class PulseConstraints:
             raise ValidationError(
                 f"need slew_min < 0 < slew_max, got {self.slew_min}, {self.slew_max}"
             )
-        # shape_pulse's ramp factor; a subnormal slew overflows it and every envelope would collapse to zero
-        if not math.isfinite(1.0 / self.slew_max - 1.0 / self.slew_min):
+        # a subnormal slew overflows the ramp factor and every envelope would collapse to zero
+        if not math.isfinite(self.ramp_factor):
             raise ValidationError(
                 f"slew_max {self.slew_max} and slew_min {self.slew_min} are too close to 0: "
                 "the ramp factor 1/slew_max + 1/|slew_min| overflows"
@@ -99,6 +111,15 @@ class PulseConstraints:
     @property
     def headroom(self) -> float:
         return self.amplitude_max - self.amplitude_min
+
+    @property
+    def ramp_factor(self) -> float:
+        """S = 1 / slew_max + 1 / |slew_min|: ramping up to a peak p and back down covers area S p^2 / 2."""
+        return 1.0 / self.slew_max - 1.0 / self.slew_min
+
+    def _row(self) -> tuple:
+        """The limits as _shape reads them, one row per pulse."""
+        return (self.amplitude_max, self.amplitude_min, self.slew_max, self.slew_min, self.headroom, self.ramp_factor)
 
 
 @dataclass(frozen=True)
@@ -162,26 +183,88 @@ class TransitionPulse:
         _dipole(None, k, self.dipole)
 
 
-@dataclass
+@dataclass(init=False, eq=False)
 class PulseSchedule:
-    """Ordered pulse train plus the diagonal left over by the decomposition.
+    """Ordered pulse train plus the diagonal left over by the decomposition, held as columns.
 
-    pulses are in application order (pulses[0] acts first). residual_phases
-    holds angles theta with R = diag(exp(i theta)); the defining identity is
+    Pulse i (in application order, pulse 0 acts first) drives the level
+    pair (levels[i], levels[i] + 1) with rotation area areas[i], carrier
+    phase phases[i] and dipole dipoles[i]. Its envelope is rows offsets[i]
+    to offsets[i + 1] of breakpoints, an (N, 2) table of (t, amplitude)
+    rows; an unshaped pulse owns no rows. residual_phases holds angles
+    theta with R = diag(exp(i theta)); the defining identity is
 
         (product of pulse unitaries, leftmost = last applied) @ R^dag = target.
+
+    PulseSchedule(pulses, residual_phases) builds the columns from
+    TransitionPulse records, and pulses gives them back as records. The
+    columns are set once; durations, start_times and total_time are read
+    off them.
     """
 
-    pulses: list[TransitionPulse]
+    levels: np.ndarray
+    areas: np.ndarray
+    phases: np.ndarray
+    dipoles: np.ndarray
+    breakpoints: np.ndarray
+    offsets: np.ndarray
     residual_phases: np.ndarray
+
+    def __init__(self, pulses, residual_phases):
+        self._set(*_records_to_columns(pulses), residual_phases)
+
+    @classmethod
+    def _from_columns(cls, levels, areas, phases, dipoles, breakpoints, offsets, residual_phases):
+        sched = cls.__new__(cls)
+        sched._set(levels, areas, phases, dipoles, breakpoints, offsets, residual_phases)
+        return sched
+
+    def _set(self, levels, areas, phases, dipoles, breakpoints, offsets, residual_phases):
+        self.levels = np.asarray(levels, dtype=int)
+        self.areas = np.asarray(areas, dtype=float)
+        self.phases = np.asarray(phases, dtype=float)
+        self.dipoles = np.asarray(dipoles, dtype=float)
+        self.breakpoints = np.asarray(breakpoints, dtype=float).reshape(-1, 2)
+        self.offsets = np.asarray(offsets, dtype=int)
+        self.residual_phases = np.asarray(residual_phases, dtype=float)
+
+    @property
+    def pulses(self) -> list[TransitionPulse]:
+        """The pulses as TransitionPulse records, built on read.
+
+        Each read builds a new list, so editing it leaves the schedule as
+        it is; PulseSchedule(pulses, residual_phases) makes a schedule of
+        edited records.
+        """
+        points = list(map(tuple, self.breakpoints.tolist()))
+        bounds = self.offsets.tolist()
+        columns = (self.levels.tolist(), self.areas.tolist(), self.phases.tolist(), self.dipoles.tolist())
+        return [
+            TransitionPulse((k, k + 1), area, phase, PulseShape(tuple(points[lo:hi])), dipole)
+            for k, area, phase, dipole, lo, hi in zip(*columns, bounds, bounds[1:])
+        ]
 
     @property
     def dimension(self) -> int:
         return len(self.residual_phases)
 
+    @functools.cached_property
+    def durations(self) -> np.ndarray:
+        """Each pulse's last breakpoint time, 0.0 for a pulse with no breakpoints (read-only)."""
+        ends = np.concatenate(([0.0], self.breakpoints[:, 0]))[self.offsets[1:]]
+        durations = np.where(self.offsets[1:] > self.offsets[:-1], ends, 0.0)
+        durations.flags.writeable = False
+        return durations
+
+    @functools.cached_property
     def _clock(self) -> np.ndarray:
-        """The one schedule clock: 0.0, then the durations added one after another (a sequential np.cumsum)."""
-        return np.cumsum([0.0] + [sp.shape.duration for sp in self.pulses])
+        """The one schedule clock: 0.0, then the durations added one after another (a sequential np.cumsum).
+
+        It is built once per schedule and is read-only.
+        """
+        clock = np.concatenate(([0.0], self.durations)).cumsum()
+        clock.flags.writeable = False
+        return clock
 
     @property
     def start_times(self) -> np.ndarray:
@@ -189,15 +272,15 @@ class PulseSchedule:
 
         The head of the schedule clock; playback and envelope.csv read it.
         """
-        return self._clock()[:-1]
+        return self._clock[:-1]
 
     @property
     def total_time(self) -> float:
         """End of the last pulse: the schedule clock's last entry, 0.0 when none is shaped."""
-        return float(self._clock()[-1])
+        return float(self._clock[-1])
 
     def residual_matrix(self) -> np.ndarray:
-        return np.diag(np.exp(1j * np.asarray(self.residual_phases)))
+        return np.diag(np.exp(1j * self.residual_phases))
 
     def reconstruct(self) -> np.ndarray:
         """Product of the pulse unitaries, then R^dag, rotated layer by layer.
@@ -208,8 +291,8 @@ class PulseSchedule:
         Any pulse order works; a transition beyond the dimension raises.
         """
         d = self.dimension
-        rows = _row_pairs([sp.transition[0] for sp in self.pulses], d)
-        blocks = _blocks([sp.area for sp in self.pulses], [sp.phase for sp in self.pulses])
+        rows = _row_pairs(self.levels, d)
+        blocks = _blocks(self.areas, self.phases)
         free = [0] * d
         layers: list[list[int]] = []
         for i, (lo, hi) in enumerate(rows.tolist()):
@@ -223,7 +306,24 @@ class PulseSchedule:
             pairs = rows[layer]
             u[pairs] = blocks[layer] @ u[pairs]
         # u @ R^dag: scale column j by exp(-i theta_j)
-        return u * np.exp(-1j * np.asarray(self.residual_phases))
+        return u * np.exp(-1j * self.residual_phases)
+
+
+def _records_to_columns(pulses) -> tuple:
+    """(levels, areas, phases, dipoles, breakpoints, offsets) of TransitionPulse records.
+
+    The breakpoints are copied unchecked; playback checks their order and first time.
+    """
+    pulses = list(pulses)
+    shapes = [sp.shape.breakpoints for sp in pulses]
+    return (
+        [sp.transition[0] for sp in pulses],
+        [sp.area for sp in pulses],
+        [sp.phase for sp in pulses],
+        [sp.dipole for sp in pulses],
+        list(chain.from_iterable(shapes)),
+        np.fromiter(accumulate(map(len, shapes), initial=0), dtype=int, count=len(shapes) + 1),
+    )
 
 
 def _blocks(areas, phases) -> np.ndarray:
@@ -341,15 +441,86 @@ def givens_decompose(target) -> PulseSchedule:
     rows, _, areas, phases = wave[:, np.lexsort((wave[0], -wave[1]))]
     keep = np.flatnonzero(areas > 0.0)[::-1]
     # the schedule applies the adjoint eliminations in reverse: same area, phase shifted by pi
-    pulses = [
-        TransitionPulse(transition=(k, k + 1), area=a, phase=p)
-        for k, a, p in zip(
-            rows[keep].astype(int).tolist(),
-            areas[keep].tolist(),
-            _wrap_angle(phases[keep] + math.pi).tolist(),
+    return PulseSchedule._from_columns(
+        rows[keep],
+        areas[keep],
+        _wrap_angle(phases[keep] + math.pi),
+        np.ones(len(keep)),
+        np.empty((0, 2)),
+        np.zeros(len(keep) + 1, dtype=int),
+        residual,
+    )
+
+
+def _shape(areas, dipoles, limits, levels=None) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-duration envelopes of many pulses at once: (breakpoints, offsets) as PulseSchedule holds them.
+
+    Per pulse: the rotation area C, the dipole D, the limits as the rows of
+    PulseConstraints._row and, optionally, the lower level that names it in
+    errors. The envelope realizes C / D above its baseline; np.where picks
+    the triangle or trapezoid closed form elementwise, with the arithmetic
+    of a pulse-by-pulse loop, so the breakpoints are that loop's. Area 0
+    gets no breakpoints. The first pulse whose breakpoints realize an area
+    off C / D by more than REALIZED_AREA_RTOL is refused (negative area, no
+    headroom, a peak that underflows or is lost against the baseline, a
+    duration that is not finite).
+    """
+    amplitude_max, base, rate_up, slew_min, cap, ramp_factor = limits
+    with np.errstate(all="ignore"):  # out-of-range values are refused below, by name
+        area = areas / dipoles
+        peak = np.sqrt(2.0 * area / ramp_factor)
+        triangle = peak <= cap
+        top = np.where(triangle, peak, cap)
+        rise = top / rate_up
+        # plateau length from area = cap^2 * ramp_factor / 2 + cap * plateau; a triangle has none
+        plateau = np.where(triangle, 0.0, (area - 0.5 * cap * cap * ramp_factor) / cap)
+        fall_start = rise + plateau
+        duration = fall_start + top / -slew_min
+        high = base + top
+        # read off the breakpoints: height above the baseline times the mean of the bottom and top lengths
+        realized = 0.5 * (high - base) * (duration + (fall_start - rise))
+        fits = np.abs(realized - area) <= REALIZED_AREA_RTOL * area
+    if not fits.all():
+        _refuse(int(fits.argmin()), areas, dipoles, limits, levels, area, peak, duration, realized)
+    points = np.empty((len(area), 4, 2))
+    times, amps = points.transpose(2, 1, 0)
+    times[0], times[1], times[2], times[3] = 0.0, rise, fall_start, duration
+    amps[0] = amps[3] = base
+    amps[1] = amps[2] = high
+    kept = np.repeat((area != 0.0)[:, None], 4, axis=1)
+    kept[:, 2] &= ~triangle
+    offsets = np.zeros(len(area) + 1, dtype=int)
+    kept.sum(axis=1).cumsum(out=offsets[1:])
+    return points[kept], offsets
+
+
+def _refuse(i, areas, dipoles, limits, levels, area, peak, duration, realized):
+    """Raise the first of _shape's refusals that pulse i meets, in the order shape_pulse checks them."""
+    amplitude_max, amplitude_min, slew_max, slew_min, cap, _ = (float(x[i]) for x in limits)
+    c, d_k, a = float(areas[i]), float(dipoles[i]), float(area[i])
+    where = "" if levels is None else f"transition ({levels[i]}, {levels[i] + 1}): "
+    if a < 0.0:
+        raise ValidationError(f"area must be nonnegative, got {a}")
+    if cap <= 0.0:
+        raise ValidationError(
+            f"no amplitude headroom above the baseline ({amplitude_min} vs "
+            f"{amplitude_max}); the requested area {a} is infeasible"
         )
-    ]
-    return PulseSchedule(pulses=pulses, residual_phases=residual)
+    if not peak[i] > 0.0:
+        raise ValidationError(
+            f"area {a} with slew_max {slew_max} and slew_min "
+            f"{slew_min}: the triangle peak sqrt(2 area / ramp factor) underflows to 0"
+        )
+    if not math.isfinite(duration[i]):
+        raise ValidationError(
+            f"{where}area {c} at dipole {d_k} and amplitude_max {amplitude_max} "
+            f"needs an envelope of non-finite duration {float(duration[i])}"
+        )
+    raise ValidationError(
+        f"{where}the envelope for area {c} at dipole {d_k} realizes {float(realized[i])} above its "
+        f"baseline {amplitude_min}, not area / dipole = {a}: the relative error is over "
+        f"REALIZED_AREA_RTOL = {REALIZED_AREA_RTOL:g}, the peak lost to rounding against the baseline"
+    )
 
 
 def shape_pulse(area_required: float, constraints: PulseConstraints) -> PulseShape:
@@ -361,48 +532,12 @@ def shape_pulse(area_required: float, constraints: PulseConstraints) -> PulseSha
     closed forms are duration = 2 sqrt(area / R) for the triangle and
     duration = M / R + area / M at cap M for the trapezoid; asymmetric
     slews generalize through the combined ramp factor
-    S = 1 / slew_up + 1 / slew_down.
+    S = 1 / slew_up + 1 / slew_down. One pulse through the shaper that
+    schedule runs on every pulse at once, with the same refusals.
     """
-    if area_required < 0.0:
-        raise ValidationError(f"area must be nonnegative, got {area_required}")
-    if area_required == 0.0:
-        return PulseShape(())
-
-    cap = constraints.headroom
-    if cap <= 0.0:
-        raise ValidationError(
-            f"no amplitude headroom above the baseline ({constraints.amplitude_min} vs "
-            f"{constraints.amplitude_max}); the requested area {area_required} is infeasible"
-        )
-    rate_up = constraints.slew_max
-    rate_down = -constraints.slew_min
-    ramp_factor = 1.0 / rate_up + 1.0 / rate_down
-
-    base = constraints.amplitude_min
-    peak = math.sqrt(2.0 * area_required / ramp_factor)
-    if not peak > 0.0:
-        raise ValidationError(
-            f"area {area_required} with slew_max {constraints.slew_max} and slew_min "
-            f"{constraints.slew_min}: the triangle peak sqrt(2 area / ramp factor) underflows to 0"
-        )
-    if peak <= cap:
-        rise = peak / rate_up
-        fall = peak / rate_down
-        duration = rise + fall
-        points = ((0.0, base), (rise, base + peak), (duration, base))
-    else:
-        rise = cap / rate_up
-        fall = cap / rate_down
-        # plateau length from area = cap^2 * ramp_factor / 2 + cap * plateau
-        plateau = (area_required - 0.5 * cap * cap * ramp_factor) / cap
-        duration = rise + plateau + fall
-        points = (
-            (0.0, base),
-            (rise, base + cap),
-            (rise + plateau, base + cap),
-            (duration, base),
-        )
-    return PulseShape(points)
+    limits = np.array(constraints._row(), dtype=float)[:, None]
+    points, _ = _shape(np.array([float(area_required)]), np.ones(1), limits)
+    return PulseShape(tuple(map(tuple, points.tolist())))
 
 
 def schedule(target, constraints, dipoles=None) -> PulseSchedule:
@@ -418,19 +553,36 @@ def schedule(target, constraints, dipoles=None) -> PulseSchedule:
         lower level k. Defaults to 1.0.
 
     The envelope of pulse m must integrate to C_m / D_k above baseline;
-    each pulse records the D_k it was shaped for.
+    each pulse records the D_k it was shaped for. The dipole and the
+    constraints are looked up once per transition, and every envelope is
+    shaped in one pass.
     """
     plan = givens_decompose(target)
-    shaped: list[TransitionPulse] = []
-    for sp in plan.pulses:
-        k = sp.transition[0]
+
+    def hardware(k: int) -> tuple:
         d_k = _dipole(dipoles, k)
         limits = _lookup(constraints, k, what="constraints")
         if limits is None:
             raise ValidationError(f"no constraints provided for transition ({k}, {k + 1})")
-        shape = shape_pulse(sp.area / d_k, limits)
-        shaped.append(TransitionPulse(sp.transition, sp.area, sp.phase, shape=shape, dipole=d_k))
-    return PulseSchedule(pulses=shaped, residual_phases=plan.residual_phases)
+        return (d_k, *limits._row())
+
+    d_k, *limits = _by_transition(plan.levels, hardware, width=7).T
+    points, offsets = _shape(plan.areas, d_k, limits, plan.levels)
+    return PulseSchedule._from_columns(
+        plan.levels, plan.areas, plan.phases, d_k, points, offsets, plan.residual_phases
+    )
+
+
+def _by_transition(levels: np.ndarray, lookup, width: int) -> np.ndarray:
+    """lookup(k) for each pulse's lower level k, shape (pulses, width).
+
+    lookup is called once per distinct k, in the order the pulses first use it.
+    """
+    distinct = dict.fromkeys(levels.tolist())
+    table = np.zeros((max(distinct, default=0) + 1, width))
+    for k in distinct:
+        table[k] = lookup(k)
+    return table[levels]
 
 
 def _lookup(table, key: int, what: str):

@@ -10,21 +10,33 @@ repr. Schemas are strict: unknown keys fail loudly, and numbers must be finite
 ints or floats. A schedule pulse may carry its "dipole" D_k (default 1.0).
 Every pulse's "duration" must match its last breakpoint time (0.0 when it has
 none), and a schedule's "total_time" must match its summed pulse durations.
+
+A schedule travels to and from the PulseSchedule columns directly:
+schedule_to_json and envelope_csv format .tolist() columns, and
+schedule_from_json gathers every pulse's numbers in one pass, then checks
+them as columns, naming the first pulse that breaks a rule.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import accumulate, chain
+import math
 
 import numpy as np
 
 from .binding import BindingEnergyReport
 from .errors import ValidationError
-from .pulse_synthesis import PulseSchedule, PulseShape, TransitionPulse
+from .pulse_synthesis import PulseSchedule
 
 MATRIX_KEYS = {"dim", "re", "im"}
 _DURATION_RTOL = 1e-9           # stored durations against the breakpoints they summarize
 _NUMBER_TYPES = {int, float}       # not bool, whose type is its own
+_SEQUENCES = {list, tuple}
+# the keys of a pulse object: with its optional dipole (as schedule_to_json writes it) and without
+_PULSE_KEYS = (
+    frozenset({"transition", "area", "phase", "breakpoints", "duration", "dipole"}),
+    frozenset({"transition", "area", "phase", "breakpoints", "duration"}),
+)
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -101,61 +113,148 @@ def binding_report_to_json(report: BindingEnergyReport) -> dict:
 
 
 def schedule_to_json(sched: PulseSchedule) -> dict:
+    points = sched.breakpoints.tolist()
+    bounds = sched.offsets.tolist()
+    columns = (sched.levels.tolist(), sched.areas.tolist(), sched.phases.tolist(), sched.durations.tolist())
     pulses = [
         {
-            "transition": list(sp.transition),
-            "area": sp.area,
-            "phase": sp.phase,
-            "breakpoints": [[t, a] for t, a in sp.shape.breakpoints],
-            "duration": sp.shape.duration,
-            "dipole": sp.dipole,
+            "transition": [k, k + 1],
+            "area": area,
+            "phase": phase,
+            "breakpoints": points[lo:hi],
+            "duration": duration,
+            "dipole": dipole,
         }
-        for sp in sched.pulses
+        for k, area, phase, duration, dipole, lo, hi in zip(*columns, sched.dipoles.tolist(), bounds, bounds[1:])
     ]
     return {
         "pulses": pulses,
-        "residual_phases": [float(x) for x in sched.residual_phases],
+        "residual_phases": sched.residual_phases.tolist(),
         "total_time": sched.total_time,
     }
 
 
+def _floats(values) -> np.ndarray | None:
+    """values as a float array if every one passes _number's rule, else None.
+
+    The rule on a whole column: each type exactly int or float (so not
+    bool), then np.array, then one range check. An int past the float
+    range makes np.array raise OverflowError; an entry that converts to
+    the largest float is checked exactly, as _number checks it.
+    """
+    try:
+        if set(map(type, values)) <= _NUMBER_TYPES:
+            col = np.array(values, dtype=float)
+            if (np.abs(col) < _FLOAT_MAX).all() or all(abs(x) <= _FLOAT_MAX for x in values):
+                return col
+    except OverflowError:
+        pass
+    return None
+
+
+def _pairs(values) -> bool:
+    """Whether every value is a list or tuple of two entries."""
+    return set(map(type, values)) <= _SEQUENCES and set(map(len, values)) <= {2}
+
+
+def _read_each(values, read) -> np.ndarray:
+    """The numbers read(value, "pulse n") gives, pulse after pulse; read raises for the first pulse that breaks its rule."""
+    return np.array([x for n, value in enumerate(values) for x in read(value, f"pulse {n}")], dtype=float)
+
+
+def _levels(value, what: str) -> list[float]:
+    levels = _numbers(value, what, "transition")
+    if len(levels) != 2 or not all(x.is_integer() for x in levels):
+        raise ValidationError(f"{what}: transition must be two integer levels, got {value!r}")
+    return levels
+
+
+def _breakpoints(value, what: str) -> list[float]:
+    return _numbers(_flat_rows(value, 2, what, "breakpoints"), what, "breakpoints")
+
+
 def schedule_from_json(obj: dict) -> PulseSchedule:
+    """A PulseSchedule from its JSON document, every value checked a column at a time.
+
+    One pass over the pulse objects checks their keys and gathers their
+    values. Every number of every pulse then gets _number's rule at once,
+    as one column. The rules of a pulse record follow as column checks: a
+    transition of two integer levels (k, k+1) with k >= 1, an area in
+    [0, pi), a positive dipole, and a duration that matches the last
+    breakpoint time. An error names the first pulse that breaks a rule,
+    with the message a pulse-by-pulse reader gives; when the numbers break
+    _number's rule, they are read again pulse by pulse to find it.
+    """
     require_keys(obj, {"pulses", "residual_phases", "total_time"}, what="schedule")
-    if not isinstance(obj["pulses"], list):
-        raise ValidationError(f"schedule: pulses must be a list, got {obj['pulses']!r}")
-    pulses = []
-    for n, p in enumerate(obj["pulses"]):
-        what = f"pulse {n}"
-        require_keys(
-            p,
-            {"transition", "area", "phase", "breakpoints", "duration"},
-            optional={"dipole"},
-            what=what,
+    docs = obj["pulses"]
+    if not isinstance(docs, list):
+        raise ValidationError(f"schedule: pulses must be a list, got {docs!r}")
+    rows = []
+    for n, p in enumerate(docs):
+        if not (type(p) is dict and p.keys() in _PULSE_KEYS):
+            require_keys(p, _PULSE_KEYS[1], optional={"dipole"}, what=f"pulse {n}")
+        rows.append((p["area"], p["phase"], p["duration"], p.get("dipole", 1.0), p["transition"], p["breakpoints"]))
+    *scalars, transition, breakpoints = zip(*rows) if rows else [()] * 6
+
+    # every number of every pulse in one column: area, phase, duration, dipole, transitions, breakpoints
+    m, numbers = len(rows), None
+    if _pairs(transition) and set(map(type, breakpoints)) <= _SEQUENCES:
+        pairs = list(chain.from_iterable(breakpoints))
+        if _pairs(pairs):
+            flat = chain(*scalars, chain.from_iterable(transition), chain.from_iterable(pairs))
+            numbers = _floats(list(flat))
+    if numbers is not None:
+        (area, phase, duration, dipole), levels, points = (
+            numbers[: 4 * m].reshape(4, m), numbers[4 * m : 6 * m], numbers[6 * m :]
         )
-        area = _number(p["area"], what, "area")
-        phase = _number(p["phase"], what, "phase")
-        duration = _number(p["duration"], what, "duration")
-        dipole = _number(p.get("dipole", 1.0), what, "dipole")
-        levels = _numbers(p["transition"], what, "transition")
-        if len(levels) != 2 or not all(x.is_integer() for x in levels):
-            raise ValidationError(f"{what}: transition must be two integer levels, got {p['transition']!r}")
-        flat = _numbers(_flat_rows(p["breakpoints"], 2, what, "breakpoints"), what, "breakpoints")
-        shape = PulseShape(tuple(zip(flat[0::2], flat[1::2])))
-        pulse = TransitionPulse((int(levels[0]), int(levels[1])), area, phase, shape=shape, dipole=dipole)
-        if abs(shape.duration - duration) > _DURATION_RTOL * max(1.0, duration):
-            raise ValidationError(
-                f"{what}: duration {duration} differs from {shape.duration}, "
-                "the envelope's last breakpoint time (0.0 when it has none)"
-            )
-        pulses.append(pulse)
+    else:  # a value breaks a rule (or is laid out unusually): read pulse by pulse, naming the first that breaks it
+        area, phase, duration, dipole = (
+            np.array([_number(x, f"pulse {n}", field) for n, x in enumerate(values)])
+            for field, values in zip(("area", "phase", "duration", "dipole"), scalars)
+        )
+        levels = _read_each(transition, _levels)
+        points = _read_each(breakpoints, _breakpoints)
     residual = np.array(_numbers(obj["residual_phases"], "schedule", "residual_phases"))
     if not residual.size:
         raise ValidationError("schedule: residual_phases is empty; it holds one phase per level")
-    sched = PulseSchedule(pulses=pulses, residual_phases=residual)
+
+    k, k1 = levels.reshape(-1, 2).T
+    offsets = np.fromiter(accumulate(map(len, breakpoints), initial=0), dtype=int, count=m + 1)
+    with np.errstate(over="ignore"):  # a difference past the float range reads inf and fails
+        # k an integer and k1 - k == 1 exactly: then k1 is the integer k + 1
+        form = (k == np.floor(k)) & (k >= 1.0) & (k1 - k == 1.0)
+        sched = PulseSchedule._from_columns(np.where(form, k, 0.0), area, phase, dipole, points, offsets, residual)
+        ends = sched.durations
+        valid = (
+            form
+            & (area >= 0.0) & (area < math.pi)
+            & (dipole > 0.0)
+            & (np.abs(ends - duration) <= _DURATION_RTOL * np.maximum(1.0, duration))
+        )
+    if not valid.all():
+        n = int(valid.argmin())
+        _refuse_pulse(n, transition[n], float(area[n]), float(dipole[n]), float(duration[n]), float(ends[n]))
     stored, summed = _number(obj["total_time"], "schedule", "total_time"), sched.total_time
     if abs(stored - summed) > _DURATION_RTOL * max(1.0, summed):
         raise ValidationError(f"schedule: total_time {stored} differs from the summed durations {summed}")
     return sched
+
+
+def _refuse_pulse(n: int, transition, area: float, dipole: float, duration: float, end: float) -> None:
+    """Raise the first rule pulse n breaks, in the order a pulse-by-pulse reader checks them."""
+    what = f"pulse {n}"
+    k, k1 = _levels(transition, what)
+    k, k1 = int(k), int(k1)
+    if k1 != k + 1 or k < 1:
+        raise ValidationError(f"{what}: transition must be (k, k+1) with k >= 1, got {(k, k1)}")
+    if not 0.0 <= area < math.pi:
+        raise ValidationError(f"{what}: area must lie in [0, pi), got {area}")
+    if not dipole > 0.0:
+        raise ValidationError(f"{what}: dipole for transition ({k}, {k + 1}) must be finite and positive, got {dipole}")
+    raise ValidationError(
+        f"{what}: duration {duration} differs from {end}, "
+        "the envelope's last breakpoint time (0.0 when it has none)"
+    )
 
 
 def _cell(x) -> str:
@@ -186,11 +285,17 @@ def envelope_csv(sched: PulseSchedule) -> str:
 
     Envelopes are piecewise linear, so one row per breakpoint describes
     them exactly; each pulse's times are offset by its start_times entry.
+    The columns are formatted whole: the times are the breakpoint table's
+    times plus each row's pulse start, the labels one per level.
     """
-    rows = []
-    for sp, offset in zip(sched.pulses, sched.start_times.tolist()):
-        label = "{}-{}".format(*sp.transition)
-        rows += [(offset + t, amp, label) for t, amp in sp.shape.breakpoints]
+    counts = np.diff(sched.offsets)
+    times, amps = sched.breakpoints.T
+    labels = np.array([f"{k}-{k + 1}" for k in range(sched.levels.max(initial=0) + 1)])
+    rows = zip(
+        (np.repeat(sched.start_times, counts) + times).tolist(),
+        amps.tolist(),
+        labels[np.repeat(sched.levels, counts)].tolist(),
+    )
     return csv_table(("time", "amplitude", "transition"), rows)
 
 

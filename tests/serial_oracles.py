@@ -1,10 +1,11 @@
 """Serial reference implementations of the batched routes.
 
 givens_decompose runs its eliminations as a wavefront of batched
-rotations, simulate_schedule samples its trajectory in one batched pass
-and trajectory_csv formats whole columns. The loops below do the same work
-one rotation, one sample and one row at a time, so the tests can compare
-the two.
+rotations, simulate_schedule samples its trajectory in one batched pass,
+trajectory_csv formats whole columns, and a PulseSchedule is held, shaped,
+encoded and decoded as columns. The loops below do the same work one
+rotation, one sample, one row and one pulse record at a time, so the tests
+can compare the two.
 """
 
 import cmath
@@ -14,7 +15,17 @@ import math
 
 import numpy as np
 
-from qbond.pulse_synthesis import ELIMINATION_ATOL
+from qbond.errors import ValidationError
+from qbond.pulse_synthesis import (
+    ELIMINATION_ATOL,
+    PulseSchedule,
+    PulseShape,
+    TransitionPulse,
+    _dipole,
+    _lookup,
+    givens_decompose,
+)
+from qbond.serialization import _DURATION_RTOL, _flat_rows, _number, _numbers, csv_table, require_keys
 
 
 def wrap_angle(angle):
@@ -128,3 +139,119 @@ def trajectory_csv_rows(times, states, energies):
         pops = [repr(float(rho[k, k].real)) for k in range(d)]
         writer.writerow([repr(float(t)), repr(float(e)), repr(purity)] + pops)
     return buf.getvalue()
+
+
+def shape_pulse_serial(area_required, constraints):
+    """One envelope from the closed forms in Python floats: a triangle under the cap, else a trapezoid at it."""
+    if area_required < 0.0:
+        raise ValidationError(f"area must be nonnegative, got {area_required}")
+    if area_required == 0.0:
+        return PulseShape(())
+    cap = constraints.headroom
+    if cap <= 0.0:
+        raise ValidationError(
+            f"no amplitude headroom above the baseline ({constraints.amplitude_min} vs "
+            f"{constraints.amplitude_max}); the requested area {area_required} is infeasible"
+        )
+    rate_up = constraints.slew_max
+    rate_down = -constraints.slew_min
+    ramp_factor = 1.0 / rate_up + 1.0 / rate_down
+    base = constraints.amplitude_min
+    peak = math.sqrt(2.0 * area_required / ramp_factor)
+    if not peak > 0.0:
+        raise ValidationError(
+            f"area {area_required} with slew_max {constraints.slew_max} and slew_min "
+            f"{constraints.slew_min}: the triangle peak sqrt(2 area / ramp factor) underflows to 0"
+        )
+    if peak <= cap:
+        rise = peak / rate_up
+        fall = peak / rate_down
+        duration = rise + fall
+        return PulseShape(((0.0, base), (rise, base + peak), (duration, base)))
+    rise = cap / rate_up
+    fall = cap / rate_down
+    plateau = (area_required - 0.5 * cap * cap * ramp_factor) / cap
+    duration = rise + plateau + fall
+    return PulseShape(((0.0, base), (rise, base + cap), (rise + plateau, base + cap), (duration, base)))
+
+
+def schedule_serial(target, constraints, dipoles=None):
+    """schedule as a loop over pulse records: look up D_k and the limits, shape, record, one pulse at a time."""
+    plan = givens_decompose(target)
+    shaped = []
+    for sp in plan.pulses:
+        k = sp.transition[0]
+        d_k = _dipole(dipoles, k)
+        limits = _lookup(constraints, k, what="constraints")
+        if limits is None:
+            raise ValidationError(f"no constraints provided for transition ({k}, {k + 1})")
+        shape = shape_pulse_serial(sp.area / d_k, limits)
+        shaped.append(TransitionPulse(sp.transition, sp.area, sp.phase, shape=shape, dipole=d_k))
+    return PulseSchedule(pulses=shaped, residual_phases=plan.residual_phases)
+
+
+def schedule_to_json_records(sched):
+    """schedule.json built from the pulse records, one dict per record."""
+    pulses = [
+        {
+            "transition": list(sp.transition),
+            "area": sp.area,
+            "phase": sp.phase,
+            "breakpoints": [[t, a] for t, a in sp.shape.breakpoints],
+            "duration": sp.shape.duration,
+            "dipole": sp.dipole,
+        }
+        for sp in sched.pulses
+    ]
+    starts = np.cumsum([0.0] + [sp.shape.duration for sp in sched.pulses])
+    return {
+        "pulses": pulses,
+        "residual_phases": [float(x) for x in sched.residual_phases],
+        "total_time": float(starts[-1]),
+    }
+
+
+def schedule_from_json_records(obj):
+    """schedule.json read one pulse at a time, each value through _number, into TransitionPulse records."""
+    require_keys(obj, {"pulses", "residual_phases", "total_time"}, what="schedule")
+    if not isinstance(obj["pulses"], list):
+        raise ValidationError(f"schedule: pulses must be a list, got {obj['pulses']!r}")
+    pulses = []
+    for n, p in enumerate(obj["pulses"]):
+        what = f"pulse {n}"
+        require_keys(p, {"transition", "area", "phase", "breakpoints", "duration"}, optional={"dipole"}, what=what)
+        area = _number(p["area"], what, "area")
+        phase = _number(p["phase"], what, "phase")
+        duration = _number(p["duration"], what, "duration")
+        dipole = _number(p.get("dipole", 1.0), what, "dipole")
+        levels = _numbers(p["transition"], what, "transition")
+        if len(levels) != 2 or not all(x.is_integer() for x in levels):
+            raise ValidationError(f"{what}: transition must be two integer levels, got {p['transition']!r}")
+        flat = _numbers(_flat_rows(p["breakpoints"], 2, what, "breakpoints"), what, "breakpoints")
+        shape = PulseShape(tuple(zip(flat[0::2], flat[1::2])))
+        pulse = TransitionPulse((int(levels[0]), int(levels[1])), area, phase, shape=shape, dipole=dipole)
+        if abs(shape.duration - duration) > _DURATION_RTOL * max(1.0, duration):
+            raise ValidationError(
+                f"{what}: duration {duration} differs from {shape.duration}, "
+                "the envelope's last breakpoint time (0.0 when it has none)"
+            )
+        pulses.append(pulse)
+    residual = np.array(_numbers(obj["residual_phases"], "schedule", "residual_phases"))
+    if not residual.size:
+        raise ValidationError("schedule: residual_phases is empty; it holds one phase per level")
+    sched = PulseSchedule(pulses=pulses, residual_phases=residual)
+    stored = _number(obj["total_time"], "schedule", "total_time")
+    summed = float(np.cumsum([0.0] + [sp.shape.duration for sp in pulses])[-1])
+    if abs(stored - summed) > _DURATION_RTOL * max(1.0, summed):
+        raise ValidationError(f"schedule: total_time {stored} differs from the summed durations {summed}")
+    return sched
+
+
+def envelope_csv_records(sched):
+    """envelope.csv from the pulse records: each breakpoint offset by the durations before its pulse."""
+    rows = []
+    starts = np.cumsum([0.0] + [sp.shape.duration for sp in sched.pulses]).tolist()
+    for sp, offset in zip(sched.pulses, starts):
+        label = "{}-{}".format(*sp.transition)
+        rows += [(offset + t, amp, label) for t, amp in sp.shape.breakpoints]
+    return csv_table(("time", "amplitude", "transition"), rows)

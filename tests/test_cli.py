@@ -669,3 +669,46 @@ def test_cli_sweep_exits_0_2_or_3_and_writes_only_standard_json(tmp_path, capsys
                 capsys.readouterr()
     assert not crashes, crashes[:5]
     assert not bad_codes, bad_codes[:5]
+
+
+def test_simulate_with_a_target_that_is_not_unitary_exits_2(tmp_path, capsys):
+    # an entry of 1e308 used to give a fidelity near 9e291
+    problem = _edited("simulate_half_swap.json", lambda p: p["target"]["im"][0].__setitem__(0, 1e308))
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(problem))
+    outdir = tmp_path / "out"
+    assert main(["simulate", "--in", str(f), "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "target: matrix is not unitary" in err and "Traceback" not in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, words",
+    [
+        pytest.param(
+            lambda p: p["constraints"].update(amplitude_max=1e-320),
+            ["amplitude_max 1e-320", "non-finite duration"],
+            id="tiny-amplitude-max",
+        ),
+        pytest.param(lambda p: p.update(dipoles=1e-320), ["dipole 1e-320", "non-finite duration"], id="tiny-dipole"),
+        pytest.param(
+            lambda p: p.update(
+                constraints={"amplitude_max": 2.0, "amplitude_min": 1.0, "slew_max": 1.0, "slew_min": -1.0},
+                dipoles=1e40,
+            ),
+            ["realizes 0.0", "baseline 1.0"],
+            id="peak-absorbed-by-the-baseline",
+        ),
+    ],
+)
+def test_synth_envelope_that_cannot_be_played_exits_2_naming_it(tmp_path, capsys, edit, words):
+    # a tiny cap or dipole made an infinite duration (exit 3 on writing); a huge dipole a flat envelope (exit 0)
+    problem = _edited("synth_two_pair_swap.json", edit)
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(problem))
+    outdir = tmp_path / "out"
+    assert main(["synth", "--in", str(f), "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert all(w in err for w in words) and "transition (" in err and "Traceback" not in err, err
+    assert not outdir.exists()

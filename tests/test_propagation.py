@@ -20,6 +20,7 @@ from qbond.propagation import (
 )
 from qbond.pulse_synthesis import (
     PulseConstraints,
+    PulseSchedule,
     PulseShape,
     TransitionPulse,
     pulse_unitary,
@@ -259,11 +260,11 @@ def test_simulate_schedule_rejects_malformed_input():
     first = sched.pulses[0]
     outside = dataclasses.replace(first, transition=(3, 4), phase=0.0)
     with pytest.raises(ValidationError, match="exceeds dimension"):
-        simulate_schedule(dataclasses.replace(sched, pulses=[outside]))
+        simulate_schedule(PulseSchedule(pulses=[outside], residual_phases=sched.residual_phases))
     backwards = PulseShape(breakpoints=((0.0, 0.0), (2.0, 1.0), (1.0, 0.0)))
     reversed_pulse = dataclasses.replace(first, shape=backwards)
     with pytest.raises(ValidationError, match="breakpoint times"):
-        simulate_schedule(dataclasses.replace(sched, pulses=[reversed_pulse]))
+        simulate_schedule(PulseSchedule(pulses=[reversed_pulse], residual_phases=sched.residual_phases))
 
 
 def _schedule_knots(sched):
@@ -330,7 +331,10 @@ def test_batched_trajectory_takes_the_earlier_segment_at_a_jump():
     stepped = PulseShape(
         breakpoints=((0.0, 0.0), (0.5, 0.8), (0.5, 0.3), (1.0, 0.6), (1.5, 0.4), (1.5, 0.0)),
     )
-    jumpy = dataclasses.replace(sched, pulses=[dataclasses.replace(sp, shape=stepped) for sp in sched.pulses])
+    jumpy = PulseSchedule(
+        pulses=[dataclasses.replace(sp, shape=stepped) for sp in sched.pulses],
+        residual_phases=sched.residual_phases,
+    )
     rho0 = random_density(rng, 3)
     got = simulate_schedule(jumpy, rho0=rho0, steps_per_segment=1, samples=10**6)
     u, states, energies = serial_trajectory(jumpy, rho0, got.times)
@@ -348,7 +352,7 @@ def test_simulate_schedule_plays_the_envelope_not_the_stored_area():
 
     def tampered(edit):
         pulses = [dataclasses.replace(sp, shape=edit(sp.shape)) for sp in sched.pulses]
-        return dataclasses.replace(sched, pulses=pulses)
+        return PulseSchedule(pulses=pulses, residual_phases=sched.residual_phases)
 
     def halve(sh):
         points = tuple((t, sh.baseline + 0.5 * (a - sh.baseline)) for t, a in sh.breakpoints)
@@ -409,7 +413,7 @@ def test_trajectory_past_memory_budget_raises_before_allocating():
     # the smallest d whose three (201, d, d) complex stacks exceed the budget
     d = math.isqrt(TRAJECTORY_BUDGET_BYTES // (3 * TRAJECTORY_SAMPLES * 16)) + 1
     swap = schedule(np.array([[0.0, 1.0], [1.0, 0.0]]), SYM)
-    one_pulse = dataclasses.replace(swap, pulses=swap.pulses[:1], residual_phases=np.zeros(d))
+    one_pulse = PulseSchedule(pulses=swap.pulses[:1], residual_phases=np.zeros(d))
     rho0 = np.zeros((d, d))
     rho0[0, 0] = 1.0
     tracemalloc.start()

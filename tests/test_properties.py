@@ -1,4 +1,4 @@
-"""Property tests: the schedule document round trip and the shaped envelope's bounds.
+"""Property tests: the schedule document round trip, the shaped envelope's bounds and reconstruct.
 
 Examples are derandomized, so every run of the suite draws the same ones.
 """
@@ -72,3 +72,11 @@ def test_shape_pulse_realizes_its_area_within_the_bounds(area, limits):
     steps = np.diff(amps)
     assert np.all(steps <= limits.slew_max * reach + tol)
     assert np.all(steps >= limits.slew_min * reach - tol)
+
+
+@FIXED
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1), constraints(), st.data())
+def test_reconstruct_gives_back_the_target(d, seed, limits, data):
+    target = random_unitary(np.random.default_rng(seed), d)
+    sched = schedule(target, limits, dipoles=data.draw(dipoles(d)))
+    assert np.abs(sched.reconstruct() - target).max() <= 1e-10

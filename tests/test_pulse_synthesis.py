@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from qbond.errors import ValidationError
 from qbond.pulse_synthesis import (
+    REALIZED_AREA_RTOL,
     PulseConstraints,
     PulseSchedule,
     PulseShape,
@@ -20,7 +21,7 @@ from qbond.pulse_synthesis import (
 
 from generic_route import adjoint_pulse, trapezoid_duration, triangle_duration
 from helpers import random_unitary
-from serial_oracles import reck_decompose
+from serial_oracles import reck_decompose, shape_pulse_serial
 
 SYM = PulseConstraints(amplitude_max=2.0, amplitude_min=0.0, slew_max=4.0, slew_min=-4.0)
 
@@ -477,3 +478,25 @@ def test_signed_zero_entries_give_the_same_schedule():
         ]
         assert np.array_equal(got.residual_phases, want.residual_phases)
         assert np.abs(got.reconstruct() - minus).max() <= 1e-12
+
+
+def test_envelope_whose_peak_the_baseline_absorbs_is_refused():
+    # 1.0 + 1.25e-20 == 1.0: the serial closed forms give a flat envelope that realizes nothing
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    limits = PulseConstraints(2.0, 1.0, 1.0, -1.0)
+    flat = shape_pulse_serial(math.pi / 2 / 1e40, limits)
+    assert flat.realized_area == 0.0 and {a for _, a in flat.breakpoints} == {1.0}
+    with pytest.raises(ValidationError, match=r"transition \(1, 2\): the envelope for area .* realizes 0.0"):
+        schedule(x, limits, dipoles=1e40)
+    with pytest.raises(ValidationError, match="REALIZED_AREA_RTOL"):
+        shape_pulse(math.pi / 2 / 1e40, limits)
+    # a small area well above the rounding of the baseline still shapes
+    shape = shape_pulse(1e-13, PulseConstraints(1.0, 0.05, 1.0, -1.0))
+    assert abs(shape.realized_area - 1e-13) <= REALIZED_AREA_RTOL * 1e-13
+
+
+def test_envelope_of_non_finite_duration_is_refused_naming_its_cause():
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for limits, dipoles in ((PulseConstraints(1e-320), 1.0), (PulseConstraints(1.0), 1e-320)):
+        with pytest.raises(ValidationError, match=r"transition \(1, 2\): area .* dipole .* amplitude_max .* non-finite duration"):
+            schedule(x, limits, dipoles=dipoles)
