@@ -38,16 +38,13 @@ every pulse of a train in one numpy pass (_shape), looking up the dipole
 and the constraints once per transition, and refuses an envelope whose
 breakpoints do not realize C / D_k within REALIZED_AREA_RTOL.
 
-A PulseSchedule holds the train as columns: per pulse the lower level k,
-area, phase and dipole, and one (N, 2) table of envelope breakpoints in
-which pulse i owns rows offsets[i] to offsets[i+1]. An envelope is its
-breakpoints and nothing else, and an unshaped pulse owns none. The
-records, TransitionPulse (transition, area, phase, shape, dipole) with
-its PulseShape, are a view built on read (PulseSchedule.pulses) and a
-way to build a schedule by hand; the library itself reads the columns.
-Pulses play back to back: PulseSchedule.durations, start_times and
-total_time are array reads of one running sum of the durations, the one
-clock that places pulses in time, built once per schedule.
+A PulseSchedule holds the train as read-only columns, with envelopes as
+rows of one breakpoint table; TransitionPulse and PulseShape records are a
+view built on read and a way to build a schedule by hand. Pulses play back
+to back on one clock, built once per schedule. Every rule of a schedule is
+stated once, in PulseSchedule._check, which runs where a schedule enters
+the library: PulseSchedule(...) and serialization.schedule_from_json.
+givens_decompose and schedule build valid columns and skip it.
 """
 
 from __future__ import annotations
@@ -196,10 +193,9 @@ class PulseSchedule:
 
         (product of pulse unitaries, leftmost = last applied) @ R^dag = target.
 
-    PulseSchedule(pulses, residual_phases) builds the columns from
+    PulseSchedule(pulses, residual_phases) builds checked columns from
     TransitionPulse records, and pulses gives them back as records. The
-    columns are set once; durations, start_times and total_time are read
-    off them.
+    columns are read-only; durations, start_times and total_time are read off them.
     """
 
     levels: np.ndarray
@@ -211,10 +207,22 @@ class PulseSchedule:
     residual_phases: np.ndarray
 
     def __init__(self, pulses, residual_phases):
-        self._set(*_records_to_columns(pulses), residual_phases)
+        pulses = list(pulses)
+        shapes = [sp.shape.breakpoints for sp in pulses]
+        self._set(
+            [sp.transition[0] for sp in pulses],
+            [sp.area for sp in pulses],
+            [sp.phase for sp in pulses],
+            [sp.dipole for sp in pulses],
+            list(chain.from_iterable(shapes)),
+            np.fromiter(accumulate(map(len, shapes), initial=0), dtype=int, count=len(shapes) + 1),
+            np.array(residual_phases, dtype=float),  # a copy, so the caller's array stays writable
+        )
+        self._check()
 
     @classmethod
     def _from_columns(cls, levels, areas, phases, dipoles, breakpoints, offsets, residual_phases):
+        """Unchecked, and the arrays become read-only: for columns valid by construction."""
         sched = cls.__new__(cls)
         sched._set(levels, areas, phases, dipoles, breakpoints, offsets, residual_phases)
         return sched
@@ -227,14 +235,54 @@ class PulseSchedule:
         self.breakpoints = np.asarray(breakpoints, dtype=float).reshape(-1, 2)
         self.offsets = np.asarray(offsets, dtype=int)
         self.residual_phases = np.asarray(residual_phases, dtype=float)
+        # the seven columns just set, read-only so a checked schedule and its cached clock stay true
+        for column in vars(self).values():
+            column.setflags(write=False)
+
+    def _check(self) -> None:
+        """Refuse a schedule that breaks a rule, naming the first pulse that does.
+
+        residual_phases is non-empty (its length is d) and finite; per pulse 1 <= k < d, an area in [0, pi),
+        a finite dipole > 0, a finite phase, and finite breakpoints whose times start at 0 or later (else the
+        envelope reaches into the pulse before) and never decrease. Only a fault builds a message.
+        """
+        d, residual, points = self.dimension, self.residual_phases, self.breakpoints
+        if not d:
+            raise ValidationError("schedule: residual_phases is empty; it holds one phase per level")
+        # each row's least time: the row before it, or 0 for the first row of its pulse
+        least = np.concatenate(([0.0], points[:, 0]))
+        least[self.offsets[:-1]] = 0.0
+        rows = points[:, 0] >= least[:-1]
+        ok = (self.levels >= 1) & (self.levels < d) & (self.areas >= 0.0) & (self.areas < math.pi)
+        ok &= (self.dipoles > 0.0) & (self.dipoles < math.inf) & np.isfinite(self.phases)
+        if ok.all() and rows.all() and np.isfinite(points).all() and np.isfinite(residual).all():
+            return
+        rows &= np.isfinite(points).all(axis=1)
+        ok[np.repeat(np.arange(len(ok)), np.diff(self.offsets))[~rows]] = False
+        if ok.all():
+            raise ValidationError(f"schedule: residual_phases must be finite, got {residual.tolist()}")
+        n = int(ok.argmin())
+        k, area, phase, dipole = (x[n].item() for x in (self.levels, self.areas, self.phases, self.dipoles))
+        points = points[self.offsets[n] : self.offsets[n + 1]].tolist()
+        try:
+            _row_pairs(k, d)
+            TransitionPulse((k, k + 1), area, phase, dipole=dipole)  # the record's rules: k >= 1, area, dipole
+            if not math.isfinite(phase):
+                raise ValidationError(f"phase must be finite, got {phase}")
+            if not np.isfinite(points).all():
+                raise ValidationError(f"breakpoints must be finite, got {points}")
+            if points[0][0] < 0.0:
+                raise ValidationError(f"breakpoint times must start at 0 or later, got {points[0][0]}")
+            t0, t1 = next((t0, t1) for (t0, _), (t1, _) in zip(points, points[1:]) if t1 < t0)
+            raise ValidationError(f"breakpoint times must not decrease, got {t0} then {t1}")
+        except ValidationError as exc:
+            raise ValidationError(f"pulse {n}: {exc}") from None
 
     @property
     def pulses(self) -> list[TransitionPulse]:
-        """The pulses as TransitionPulse records, built on read.
+        """The pulses as TransitionPulse records, a new list on every read.
 
-        Each read builds a new list, so editing it leaves the schedule as
-        it is; PulseSchedule(pulses, residual_phases) makes a schedule of
-        edited records.
+        PulseSchedule(pulses, residual_phases) makes a schedule of edited records.
         """
         points = list(map(tuple, self.breakpoints.tolist()))
         bounds = self.offsets.tolist()
@@ -288,7 +336,7 @@ class PulseSchedule:
         Each pulse joins the first layer after every earlier pulse on one of
         its two levels (as soon as possible), so pulses of one layer share no
         level, commute, and rotate their row pairs in one batched product.
-        Any pulse order works; a transition beyond the dimension raises.
+        Any pulse order works.
         """
         d = self.dimension
         rows = _row_pairs(self.levels, d)
@@ -307,23 +355,6 @@ class PulseSchedule:
             u[pairs] = blocks[layer] @ u[pairs]
         # u @ R^dag: scale column j by exp(-i theta_j)
         return u * np.exp(-1j * self.residual_phases)
-
-
-def _records_to_columns(pulses) -> tuple:
-    """(levels, areas, phases, dipoles, breakpoints, offsets) of TransitionPulse records.
-
-    The breakpoints are copied unchecked; playback checks their order and first time.
-    """
-    pulses = list(pulses)
-    shapes = [sp.shape.breakpoints for sp in pulses]
-    return (
-        [sp.transition[0] for sp in pulses],
-        [sp.area for sp in pulses],
-        [sp.phase for sp in pulses],
-        [sp.dipole for sp in pulses],
-        list(chain.from_iterable(shapes)),
-        np.fromiter(accumulate(map(len, shapes), initial=0), dtype=int, count=len(shapes) + 1),
-    )
 
 
 def _blocks(areas, phases) -> np.ndarray:

@@ -14,13 +14,13 @@ none), and a schedule's "total_time" must match its summed pulse durations.
 A schedule travels to and from the PulseSchedule columns directly:
 schedule_to_json and envelope_csv format .tolist() columns, and
 schedule_from_json gathers every pulse's numbers in one pass, then checks
-them as columns, naming the first pulse that breaks a rule.
+them as columns, naming the first pulse that breaks a rule. It checks only
+the format; the schedule's own rules are PulseSchedule._check's.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, chain
-import math
 
 import numpy as np
 
@@ -169,21 +169,16 @@ def _levels(value, what: str) -> list[float]:
     return levels
 
 
-def _breakpoints(value, what: str) -> list[float]:
-    return _numbers(_flat_rows(value, 2, what, "breakpoints"), what, "breakpoints")
-
-
 def schedule_from_json(obj: dict) -> PulseSchedule:
     """A PulseSchedule from its JSON document, every value checked a column at a time.
 
     One pass over the pulse objects checks their keys and gathers their
-    values. Every number of every pulse then gets _number's rule at once,
-    as one column. The rules of a pulse record follow as column checks: a
-    transition of two integer levels (k, k+1) with k >= 1, an area in
-    [0, pi), a positive dipole, and a duration that matches the last
-    breakpoint time. An error names the first pulse that breaks a rule,
-    with the message a pulse-by-pulse reader gives; when the numbers break
-    _number's rule, they are read again pulse by pulse to find it.
+    values; every number then gets _number's rule as one column. The format
+    rules follow as column checks (a transition of two integer levels
+    (k, k+1), a duration that is the last breakpoint time), then
+    PulseSchedule._check, then total_time. An error names the first pulse
+    that breaks a rule, with a pulse-by-pulse reader's message; numbers
+    that break _number's rule are read again pulse by pulse to find it.
     """
     require_keys(obj, {"pulses", "residual_phases", "total_time"}, what="schedule")
     docs = obj["pulses"]
@@ -213,48 +208,34 @@ def schedule_from_json(obj: dict) -> PulseSchedule:
             for field, values in zip(("area", "phase", "duration", "dipole"), scalars)
         )
         levels = _read_each(transition, _levels)
-        points = _read_each(breakpoints, _breakpoints)
+        points = _read_each(
+            breakpoints, lambda v, what: _numbers(_flat_rows(v, 2, what, "breakpoints"), what, "breakpoints")
+        )
     residual = np.array(_numbers(obj["residual_phases"], "schedule", "residual_phases"))
-    if not residual.size:
-        raise ValidationError("schedule: residual_phases is empty; it holds one phase per level")
 
     k, k1 = levels.reshape(-1, 2).T
     offsets = np.fromiter(accumulate(map(len, breakpoints), initial=0), dtype=int, count=m + 1)
     with np.errstate(over="ignore"):  # a difference past the float range reads inf and fails
         # k an integer and k1 - k == 1 exactly: then k1 is the integer k + 1
-        form = (k == np.floor(k)) & (k >= 1.0) & (k1 - k == 1.0)
+        form = (k == np.floor(k)) & (k1 - k == 1.0)
         sched = PulseSchedule._from_columns(np.where(form, k, 0.0), area, phase, dipole, points, offsets, residual)
         ends = sched.durations
-        valid = (
-            form
-            & (area >= 0.0) & (area < math.pi)
-            & (dipole > 0.0)
-            & (np.abs(ends - duration) <= _DURATION_RTOL * np.maximum(1.0, duration))
-        )
+        valid = form & (np.abs(ends - duration) <= _DURATION_RTOL * np.maximum(1.0, duration))
     if not valid.all():
         n = int(valid.argmin())
-        _refuse_pulse(n, transition[n], float(area[n]), float(dipole[n]), float(duration[n]), float(ends[n]))
+        what = f"pulse {n}"
+        if not form[n]:
+            k, k1 = _levels(transition[n], what)
+            raise ValidationError(f"{what}: transition must be (k, k+1) with k >= 1, got {(int(k), int(k1))}")
+        raise ValidationError(
+            f"{what}: duration {float(duration[n])} differs from {float(ends[n])}, "
+            "the envelope's last breakpoint time (0.0 when it has none)"
+        )
+    sched._check()
     stored, summed = _number(obj["total_time"], "schedule", "total_time"), sched.total_time
     if abs(stored - summed) > _DURATION_RTOL * max(1.0, summed):
         raise ValidationError(f"schedule: total_time {stored} differs from the summed durations {summed}")
     return sched
-
-
-def _refuse_pulse(n: int, transition, area: float, dipole: float, duration: float, end: float) -> None:
-    """Raise the first rule pulse n breaks, in the order a pulse-by-pulse reader checks them."""
-    what = f"pulse {n}"
-    k, k1 = _levels(transition, what)
-    k, k1 = int(k), int(k1)
-    if k1 != k + 1 or k < 1:
-        raise ValidationError(f"{what}: transition must be (k, k+1) with k >= 1, got {(k, k1)}")
-    if not 0.0 <= area < math.pi:
-        raise ValidationError(f"{what}: area must lie in [0, pi), got {area}")
-    if not dipole > 0.0:
-        raise ValidationError(f"{what}: dipole for transition ({k}, {k + 1}) must be finite and positive, got {dipole}")
-    raise ValidationError(
-        f"{what}: duration {duration} differs from {end}, "
-        "the envelope's last breakpoint time (0.0 when it has none)"
-    )
 
 
 def _cell(x) -> str:

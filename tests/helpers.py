@@ -35,7 +35,8 @@ def early_pulse_schedule(shift=-1.0):
     """(schedule, target) for a seeded d = 3 target, with every breakpoint of pulse 1 (2-3) moved by shift.
 
     Its duration moves with the last breakpoint, so durations and total_time
-    stay consistent; a negative shift starts the envelope inside pulse 0.
+    stay consistent; a negative shift starts the envelope inside pulse 0, and
+    building the schedule refuses it.
     """
     target = random_unitary(np.random.default_rng(3), 3)
     sched = schedule(target, PulseConstraints(amplitude_max=1.0))

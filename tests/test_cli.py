@@ -528,9 +528,15 @@ def _stray_duration(payload):
 
 
 def _early_pulse(payload):
+    # pulse 1's envelope moved 1 earlier in the document, its duration and total_time with it
     del payload["rho0"]
-    sched, target = early_pulse_schedule(-1.0)
-    payload["schedule"] = schedule_to_json(sched)
+    sched, target = early_pulse_schedule(0.0)
+    doc = schedule_to_json(sched)
+    pulse = doc["pulses"][1]
+    pulse["breakpoints"] = [[t - 1.0, a] for t, a in pulse["breakpoints"]]
+    pulse["duration"] = pulse["breakpoints"][-1][0]
+    doc["total_time"] = sum(p["duration"] for p in doc["pulses"])
+    payload["schedule"] = doc
     payload["target"] = matrix_to_json(target)
 
 

@@ -102,6 +102,15 @@ def _stretched(pulse):
     pulse["duration"] *= 1.5
 
 
+def _early_start(pulse):
+    pulse["breakpoints"][0][0] = -1.0
+
+
+def _backwards(pulse):
+    # a middle breakpoint past the last one; the duration still matches
+    pulse["breakpoints"][1][0] = 2.0 * pulse["duration"]
+
+
 # (fault, whether the new message adds a "pulse n: " prefix to the record's)
 FAULTS = [
     pytest.param(_set("area", True), False, id="bool-area"),
@@ -115,6 +124,10 @@ FAULTS = [
     pytest.param(_ragged_row, False, id="ragged-breakpoint-row"),
     pytest.param(_stretched, False, id="duration-mismatch"),
     pytest.param(_set("extra", 1.0), False, id="unknown-key"),
+    # the schedule's own rules: the records oracle meets them in PulseSchedule(...), which names the pulse
+    pytest.param(_set("transition", [3, 4]), False, id="transition-3-4-at-d-3"),
+    pytest.param(_backwards, False, id="decreasing-breakpoint-times"),
+    pytest.param(_early_start, False, id="first-breakpoint-at-minus-1"),
 ]
 
 

@@ -231,8 +231,8 @@ def test_simulate_schedule_plays_the_recorded_dipole():
 def test_simulate_schedule_refuses_an_envelope_that_starts_before_its_pulse():
     sched, target = early_pulse_schedule(0.0)
     assert simulate_schedule(sched, target=target).fidelity_to_target >= 1.0 - 1e-9
-    sched, target = early_pulse_schedule(-1.0)
     with pytest.raises(ValidationError, match="pulse 1: breakpoint times must start at 0"):
+        sched, target = early_pulse_schedule(-1.0)
         simulate_schedule(sched, target=target)
 
 

@@ -1,17 +1,20 @@
-"""Property tests: the schedule document round trip, the shaped envelope's bounds and reconstruct.
+"""Property tests: the schedule document round trip, the shaped envelope's bounds, reconstruct,
+the schedule check on synthesized schedules, and the passive energy.
 
 Examples are derandomized, so every run of the suite draws the same ones.
 """
 
+import itertools
 import json
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from qbond.binding import binding_energy
 from qbond.pulse_synthesis import PulseConstraints, schedule, shape_pulse
 from qbond.serialization import schedule_from_json, schedule_to_json
 
-from helpers import random_unitary
+from helpers import random_density, random_hermitian, random_unitary
 
 FIXED = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -80,3 +83,27 @@ def test_reconstruct_gives_back_the_target(d, seed, limits, data):
     target = random_unitary(np.random.default_rng(seed), d)
     sched = schedule(target, limits, dipoles=data.draw(dipoles(d)))
     assert np.abs(sched.reconstruct() - target).max() <= 1e-10
+
+
+@FIXED
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1), constraints(), st.data())
+def test_synthesized_schedules_pass_the_schedule_check(d, seed, limits, data):
+    # schedule() builds its columns unchecked, since they are valid by construction
+    target = random_unitary(np.random.default_rng(seed), d)
+    schedule(target, limits, dipoles=data.draw(dipoles(d)))._check()
+
+
+@FIXED
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.data())
+def test_passive_energy_is_at_most_every_permutation_energy(d, seed, data):
+    rng = np.random.default_rng(seed)
+    rho0 = random_density(rng, d, rank=data.draw(st.integers(1, d)))
+    h_free = random_hermitian(rng, d)
+    report = binding_energy(rho0, h_free, random_hermitian(rng, d))
+    populations = np.clip(np.linalg.eigvalsh(rho0), 0.0, None)
+    levels = np.linalg.eigvalsh(h_free)
+    # every assignment of the populations to the free levels
+    energies = populations[list(itertools.permutations(range(d)))] @ levels
+    tol = 1e-12 * (1.0 + np.abs(levels).max())
+    assert report.final_energy <= energies.min() + tol
+    assert report.final_energy >= energies.min() - tol

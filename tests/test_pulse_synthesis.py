@@ -18,6 +18,7 @@ from qbond.pulse_synthesis import (
     schedule,
     shape_pulse,
 )
+from qbond.serialization import schedule_from_json, schedule_to_json
 
 from generic_route import adjoint_pulse, trapezoid_duration, triangle_duration
 from helpers import random_unitary
@@ -500,3 +501,56 @@ def test_envelope_of_non_finite_duration_is_refused_naming_its_cause():
     for limits, dipoles in ((PulseConstraints(1e-320), 1.0), (PulseConstraints(1.0), 1e-320)):
         with pytest.raises(ValidationError, match=r"transition \(1, 2\): area .* dipole .* amplitude_max .* non-finite duration"):
             schedule(x, limits, dipoles=dipoles)
+
+
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+COLUMNS = ("levels", "areas", "phases", "dipoles", "breakpoints", "offsets", "residual_phases")
+
+
+def test_schedule_columns_are_read_only_so_the_clock_stays_true():
+    sched = schedule(SWAP, PulseConstraints(1.0))
+    total = sched.total_time
+    with pytest.raises(ValueError):
+        sched.breakpoints[-1, 0] = 99.0
+    assert sched.total_time == total == sched.durations[-1]
+    assert schedule_to_json(schedule_from_json(schedule_to_json(sched))) == schedule_to_json(sched)
+    built = PulseSchedule(pulses=sched.pulses, residual_phases=sched.residual_phases)
+    for s in (sched, schedule_from_json(schedule_to_json(sched)), built, givens_decompose(SWAP)):
+        for name in COLUMNS:
+            with pytest.raises(ValueError):
+                getattr(s, name)[-1] = 0
+    # the caller's own array is copied, not frozen
+    phases = np.zeros(2)
+    rebuilt = PulseSchedule(pulses=sched.pulses, residual_phases=phases)
+    phases[0] = 1.0
+    assert rebuilt.residual_phases[0] == 0.0
+
+
+def _nan_phase(pulse, residual):
+    return dataclasses.replace(pulse, phase=math.nan), residual
+
+
+def _nan_breakpoint_time(pulse, residual):
+    first, (_, a1), *rest = pulse.shape.breakpoints
+    shape = PulseShape((first, (math.nan, a1), *rest))
+    return dataclasses.replace(pulse, shape=shape), residual
+
+
+def _nan_residual_phase(pulse, residual):
+    return pulse, [math.nan, 0.0]
+
+
+@pytest.mark.parametrize(
+    "edit, words",
+    [
+        pytest.param(_nan_phase, ["pulse 0", "phase"], id="nan-phase"),
+        pytest.param(_nan_breakpoint_time, ["pulse 0", "breakpoints"], id="nan-breakpoint-time"),
+        pytest.param(_nan_residual_phase, ["residual_phases"], id="nan-residual-phase"),
+    ],
+)
+def test_schedule_with_a_non_finite_value_is_refused_when_built(edit, words):
+    swap = schedule(SWAP, PulseConstraints(1.0))
+    pulse, residual = edit(swap.pulses[0], swap.residual_phases)
+    with pytest.raises(ValidationError) as refused:
+        PulseSchedule(pulses=[pulse], residual_phases=residual)
+    assert all(w in str(refused.value) for w in words), refused.value
