@@ -90,10 +90,17 @@ class _Segments(NamedTuple):
         return self.dipole * 0.5 * (self.a_lo + self.a_hi) * (self.t_hi - self.t_lo)
 
     def area(self, i: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Rotation angle of segments i from t_lo[i] to t, for t_lo[i] <= t <= t_hi[i]."""
+        """Rotation angle of segments i from t_lo[i] to t, for t_lo[i] <= t <= t_hi[i].
+
+        The envelope rises by slope * x over x = t - t_lo[i]; on a segment so
+        narrow that its slope overflows, by (a_hi - a_lo) * (x / width) instead.
+        """
         x = t - self.t_lo[i]
-        slope = (self.a_hi[i] - self.a_lo[i]) / (self.t_hi[i] - self.t_lo[i])
-        return self.dipole[i] * x * (self.a_lo[i] + 0.5 * slope * x)
+        rise, width = self.a_hi[i] - self.a_lo[i], self.t_hi[i] - self.t_lo[i]
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = rise / width
+            rise_at = np.where(np.isfinite(slope), slope * x, rise * (x / width))
+        return self.dipole[i] * x * (self.a_lo[i] + 0.5 * rise_at)
 
     def amplitude(self, i: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Envelope above baseline of segments i at t."""

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 import functools
 from itertools import accumulate, chain
 import math
+import numbers
 
 import numpy as np
 
@@ -173,6 +174,8 @@ class TransitionPulse:
 
     def __post_init__(self):
         k, k1 = self.transition
+        if not all(isinstance(x, numbers.Integral) or float(x).is_integer() for x in (k, k1)):
+            raise ValidationError(f"transition must be two integer levels, got {self.transition}")
         if k1 != k + 1 or k < 1:
             raise ValidationError(f"transition must be (k, k+1) with k >= 1, got {self.transition}")
         if not (0.0 <= self.area < math.pi):
@@ -226,6 +229,12 @@ class PulseSchedule:
         sched = cls.__new__(cls)
         sched._set(levels, areas, phases, dipoles, breakpoints, offsets, residual_phases)
         return sched
+
+    def __reduce__(self):
+        """Copies and pickles rebuild through _from_columns, so their columns are read-only too."""
+        return PulseSchedule._from_columns, (
+            self.levels, self.areas, self.phases, self.dipoles, self.breakpoints, self.offsets, self.residual_phases
+        )
 
     def _set(self, levels, areas, phases, dipoles, breakpoints, offsets, residual_phases):
         self.levels = np.asarray(levels, dtype=int)

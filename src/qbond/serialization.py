@@ -7,20 +7,28 @@ A complex matrix travels as
 with full double precision (row major). Every emitted JSON document
 re-parses to bit-identical values because floats are serialized through
 repr. Schemas are strict: unknown keys fail loudly, and numbers must be finite
-ints or floats. A schedule pulse may carry its "dipole" D_k (default 1.0).
-Every pulse's "duration" must match its last breakpoint time (0.0 when it has
-none), and a schedule's "total_time" must match its summed pulse durations.
+ints or floats.
 
-A schedule travels to and from the PulseSchedule columns directly:
-schedule_to_json and envelope_csv format .tolist() columns, and
-schedule_from_json gathers every pulse's numbers in one pass, then checks
-them as columns, naming the first pulse that breaks a rule. It checks only
-the format; the schedule's own rules are PulseSchedule._check's.
+A schedule travels as the PulseSchedule columns themselves (format 2):
+
+    {"format": 2, "levels": [k, ...], "areas": [...], "phases": [...],
+     "dipoles": [...], "offsets": [0, ..., N], "breakpoints": [t0, a0, t1, a1, ...],
+     "residual_phases": [...]}
+
+Pulse i drives levels (k, k+1) with k = levels[i]; its envelope is rows
+offsets[i] to offsets[i + 1] of the (N, 2) breakpoint table, stored flat.
+"dipoles" is optional (1.0 per pulse). Nothing derived is stored: the
+transition pairs, durations and total time are read off levels and the
+breakpoints. schedule_to_json is one .tolist() per column; schedule_from_json
+checks each column with one pass, then the format's array rules, then
+PulseSchedule._check. A per-pulse document (the earlier format, with
+"pulses") is refused. envelope_csv is the row-per-breakpoint view of the
+same envelopes on the schedule clock.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -29,14 +37,12 @@ from .errors import ValidationError
 from .pulse_synthesis import PulseSchedule
 
 MATRIX_KEYS = {"dim", "re", "im"}
-_DURATION_RTOL = 1e-9           # stored durations against the breakpoints they summarize
+SCHEDULE_FORMAT = 2
+_SCHEDULE_KEYS = {"format", "levels", "areas", "phases", "offsets", "breakpoints", "residual_phases"}
+# the per-pulse columns, each with the field name an error gives after "pulse n: "
+_PULSE_FIELDS = {"levels": "level", "areas": "area", "phases": "phase", "dipoles": "dipole"}
 _NUMBER_TYPES = {int, float}       # not bool, whose type is its own
-_SEQUENCES = {list, tuple}
-# the keys of a pulse object: with its optional dipole (as schedule_to_json writes it) and without
-_PULSE_KEYS = (
-    frozenset({"transition", "area", "phase", "breakpoints", "duration", "dipole"}),
-    frozenset({"transition", "area", "phase", "breakpoints", "duration"}),
-)
+_LEVEL_MAX = 2.0**53               # past it a float level k has no k + 1
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -113,24 +119,15 @@ def binding_report_to_json(report: BindingEnergyReport) -> dict:
 
 
 def schedule_to_json(sched: PulseSchedule) -> dict:
-    points = sched.breakpoints.tolist()
-    bounds = sched.offsets.tolist()
-    columns = (sched.levels.tolist(), sched.areas.tolist(), sched.phases.tolist(), sched.durations.tolist())
-    pulses = [
-        {
-            "transition": [k, k + 1],
-            "area": area,
-            "phase": phase,
-            "breakpoints": points[lo:hi],
-            "duration": duration,
-            "dipole": dipole,
-        }
-        for k, area, phase, duration, dipole, lo, hi in zip(*columns, sched.dipoles.tolist(), bounds, bounds[1:])
-    ]
     return {
-        "pulses": pulses,
+        "format": SCHEDULE_FORMAT,
+        "levels": sched.levels.tolist(),
+        "areas": sched.areas.tolist(),
+        "phases": sched.phases.tolist(),
+        "dipoles": sched.dipoles.tolist(),
+        "offsets": sched.offsets.tolist(),
+        "breakpoints": sched.breakpoints.ravel().tolist(),
         "residual_phases": sched.residual_phases.tolist(),
-        "total_time": sched.total_time,
     }
 
 
@@ -152,89 +149,83 @@ def _floats(values) -> np.ndarray | None:
     return None
 
 
-def _pairs(values) -> bool:
-    """Whether every value is a list or tuple of two entries."""
-    return set(map(type, values)) <= _SEQUENCES and set(map(len, values)) <= {2}
+def _column(obj: dict, key: str) -> np.ndarray:
+    """obj[key] as a float array, every entry checked by _number's rule at once.
+
+    An entry that breaks it is named as "pulse n: <field>" in a per-pulse
+    column, else as "schedule: <key>".
+    """
+    values = obj[key]
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"schedule: {key} must be a list of numbers, got {values!r}")
+    col = _floats(values)
+    if col is None:  # read again one entry at a time to name the first that breaks the rule
+        field = _PULSE_FIELDS.get(key)
+        names = (f"pulse {n}" for n in count()) if field else repeat("schedule")
+        col = np.array([_number(x, what, field or key) for what, x in zip(names, values)])
+    return col
 
 
-def _read_each(values, read) -> np.ndarray:
-    """The numbers read(value, "pulse n") gives, pulse after pulse; read raises for the first pulse that breaks its rule."""
-    return np.array([x for n, value in enumerate(values) for x in read(value, f"pulse {n}")], dtype=float)
-
-
-def _levels(value, what: str) -> list[float]:
-    levels = _numbers(value, what, "transition")
-    if len(levels) != 2 or not all(x.is_integer() for x in levels):
-        raise ValidationError(f"{what}: transition must be two integer levels, got {value!r}")
-    return levels
+def _check_format(obj) -> None:
+    """Refuse a schedule object that is not format 2: another format, no format, or per-pulse "pulses"."""
+    if not isinstance(obj, dict):
+        return  # require_keys refuses it
+    if type(obj.get("format")) is int and obj["format"] == SCHEDULE_FORMAT and "pulses" not in obj:
+        return
+    found = f"format {obj['format']!r}" if "format" in obj else "no format"
+    if "pulses" in obj:
+        found += " and a per-pulse pulses list"
+    raise ValidationError(
+        f"schedule: only format {SCHEDULE_FORMAT} is read, got {found}; "
+        f"re-run qbond synth to write a format-{SCHEDULE_FORMAT} schedule"
+    )
 
 
 def schedule_from_json(obj: dict) -> PulseSchedule:
-    """A PulseSchedule from its JSON document, every value checked a column at a time.
+    """A PulseSchedule from its format-2 document, every value checked a column at a time.
 
-    One pass over the pulse objects checks their keys and gathers their
-    values; every number then gets _number's rule as one column. The format
-    rules follow as column checks (a transition of two integer levels
-    (k, k+1), a duration that is the last breakpoint time), then
-    PulseSchedule._check, then total_time. An error names the first pulse
-    that breaks a rule, with a pulse-by-pulse reader's message; numbers
-    that break _number's rule are read again pulse by pulse to find it.
+    The format rules: strict keys with format exactly 2; finite numbers
+    in every column; one levels, areas, phases (and dipoles) entry per
+    pulse and one offsets entry more; an even count of breakpoint numbers;
+    integer offsets that start at 0, never decrease and end at the
+    breakpoint row count; integer levels. Then PulseSchedule._check.
     """
-    require_keys(obj, {"pulses", "residual_phases", "total_time"}, what="schedule")
-    docs = obj["pulses"]
-    if not isinstance(docs, list):
-        raise ValidationError(f"schedule: pulses must be a list, got {docs!r}")
-    rows = []
-    for n, p in enumerate(docs):
-        if not (type(p) is dict and p.keys() in _PULSE_KEYS):
-            require_keys(p, _PULSE_KEYS[1], optional={"dipole"}, what=f"pulse {n}")
-        rows.append((p["area"], p["phase"], p["duration"], p.get("dipole", 1.0), p["transition"], p["breakpoints"]))
-    *scalars, transition, breakpoints = zip(*rows) if rows else [()] * 6
+    _check_format(obj)
+    require_keys(obj, _SCHEDULE_KEYS, optional={"dipoles"}, what="schedule")
+    levels, areas, phases, offsets, points, residual = (
+        _column(obj, key) for key in ("levels", "areas", "phases", "offsets", "breakpoints", "residual_phases")
+    )
+    dipoles = _column(obj, "dipoles") if "dipoles" in obj else np.ones(len(levels))
 
-    # every number of every pulse in one column: area, phase, duration, dipole, transitions, breakpoints
-    m, numbers = len(rows), None
-    if _pairs(transition) and set(map(type, breakpoints)) <= _SEQUENCES:
-        pairs = list(chain.from_iterable(breakpoints))
-        if _pairs(pairs):
-            flat = chain(*scalars, chain.from_iterable(transition), chain.from_iterable(pairs))
-            numbers = _floats(list(flat))
-    if numbers is not None:
-        (area, phase, duration, dipole), levels, points = (
-            numbers[: 4 * m].reshape(4, m), numbers[4 * m : 6 * m], numbers[6 * m :]
-        )
-    else:  # a value breaks a rule (or is laid out unusually): read pulse by pulse, naming the first that breaks it
-        area, phase, duration, dipole = (
-            np.array([_number(x, f"pulse {n}", field) for n, x in enumerate(values)])
-            for field, values in zip(("area", "phase", "duration", "dipole"), scalars)
-        )
-        levels = _read_each(transition, _levels)
-        points = _read_each(
-            breakpoints, lambda v, what: _numbers(_flat_rows(v, 2, what, "breakpoints"), what, "breakpoints")
-        )
-    residual = np.array(_numbers(obj["residual_phases"], "schedule", "residual_phases"))
-
-    k, k1 = levels.reshape(-1, 2).T
-    offsets = np.fromiter(accumulate(map(len, breakpoints), initial=0), dtype=int, count=m + 1)
-    with np.errstate(over="ignore"):  # a difference past the float range reads inf and fails
-        # k an integer and k1 - k == 1 exactly: then k1 is the integer k + 1
-        form = (k == np.floor(k)) & (k1 - k == 1.0)
-        sched = PulseSchedule._from_columns(np.where(form, k, 0.0), area, phase, dipole, points, offsets, residual)
-        ends = sched.durations
-        valid = form & (np.abs(ends - duration) <= _DURATION_RTOL * np.maximum(1.0, duration))
-    if not valid.all():
-        n = int(valid.argmin())
-        what = f"pulse {n}"
-        if not form[n]:
-            k, k1 = _levels(transition[n], what)
-            raise ValidationError(f"{what}: transition must be (k, k+1) with k >= 1, got {(int(k), int(k1))}")
+    lengths = list(map(len, (levels, areas, phases, dipoles)))
+    if len(set(lengths)) > 1:
         raise ValidationError(
-            f"{what}: duration {float(duration[n])} differs from {float(ends[n])}, "
-            "the envelope's last breakpoint time (0.0 when it has none)"
+            f"schedule: levels, areas, phases and dipoles must have one entry per pulse, got lengths {lengths}"
         )
+    if len(offsets) != lengths[0] + 1:
+        raise ValidationError(
+            f"schedule: offsets must have one entry more than the {lengths[0]} pulses, got {len(offsets)}"
+        )
+    if len(points) % 2:
+        raise ValidationError(f"schedule: breakpoints must hold (t, amplitude) pairs, got an odd count {len(points)}")
+    rows, steps = len(points) // 2, np.diff(offsets)
+    if not (offsets == np.floor(offsets)).all():
+        raise ValidationError(f"schedule: offsets must be integers, got {offsets[offsets != np.floor(offsets)][0]:g}")
+    if offsets[0] != 0.0:
+        raise ValidationError(f"schedule: offsets must start at 0, got {offsets[0]:g}")
+    if (steps < 0.0).any():
+        n = int(np.flatnonzero(steps < 0.0)[0])
+        raise ValidationError(f"schedule: offsets must not decrease, got {offsets[n]:g} then {offsets[n + 1]:g}")
+    if offsets[-1] != rows:
+        raise ValidationError(f"schedule: offsets must end at {rows}, the breakpoint row count, got {offsets[-1]:g}")
+    # an integer level below 2**53, where a float still holds k + 1
+    whole = (levels == np.floor(levels)) & (np.abs(levels) < _LEVEL_MAX)
+    if not whole.all():
+        n = int(whole.argmin())
+        k = float(levels[n])
+        raise ValidationError(f"pulse {n}: transition must be two integer levels, got {(k, k + 1)}")
+    sched = PulseSchedule._from_columns(levels, areas, phases, dipoles, points, offsets, residual)
     sched._check()
-    stored, summed = _number(obj["total_time"], "schedule", "total_time"), sched.total_time
-    if abs(stored - summed) > _DURATION_RTOL * max(1.0, summed):
-        raise ValidationError(f"schedule: total_time {stored} differs from the summed durations {summed}")
     return sched
 
 

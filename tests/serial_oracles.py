@@ -11,6 +11,7 @@ can compare the two.
 import cmath
 import csv
 import io
+from itertools import accumulate
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from qbond.pulse_synthesis import (
     _lookup,
     givens_decompose,
 )
-from qbond.serialization import _DURATION_RTOL, _flat_rows, _number, _numbers, csv_table, require_keys
+from qbond.serialization import _check_format, _number, csv_table, require_keys
 
 
 def wrap_angle(angle):
@@ -191,60 +192,66 @@ def schedule_serial(target, constraints, dipoles=None):
 
 
 def schedule_to_json_records(sched):
-    """schedule.json built from the pulse records, one dict per record."""
-    pulses = [
-        {
-            "transition": list(sp.transition),
-            "area": sp.area,
-            "phase": sp.phase,
-            "breakpoints": [[t, a] for t, a in sp.shape.breakpoints],
-            "duration": sp.shape.duration,
-            "dipole": sp.dipole,
-        }
-        for sp in sched.pulses
-    ]
-    starts = np.cumsum([0.0] + [sp.shape.duration for sp in sched.pulses])
+    """schedule.json (format 2) built from the pulse records, one record at a time."""
+    pulses = sched.pulses
     return {
-        "pulses": pulses,
+        "format": 2,
+        "levels": [sp.transition[0] for sp in pulses],
+        "areas": [sp.area for sp in pulses],
+        "phases": [sp.phase for sp in pulses],
+        "dipoles": [sp.dipole for sp in pulses],
+        "offsets": list(accumulate((len(sp.shape.breakpoints) for sp in pulses), initial=0)),
+        "breakpoints": [x for sp in pulses for point in sp.shape.breakpoints for x in point],
         "residual_phases": [float(x) for x in sched.residual_phases],
-        "total_time": float(starts[-1]),
     }
 
 
 def schedule_from_json_records(obj):
-    """schedule.json read one pulse at a time, each value through _number, into TransitionPulse records."""
-    require_keys(obj, {"pulses", "residual_phases", "total_time"}, what="schedule")
-    if not isinstance(obj["pulses"], list):
-        raise ValidationError(f"schedule: pulses must be a list, got {obj['pulses']!r}")
+    """schedule.json (format 2) read one pulse at a time, each value through _number, into TransitionPulse records."""
+    _check_format(obj)
+    keys = {"format", "levels", "areas", "phases", "offsets", "breakpoints", "residual_phases"}
+    require_keys(obj, keys, optional={"dipoles"}, what="schedule")
+    for key, values in obj.items():
+        if key != "format" and not isinstance(values, list):
+            raise ValidationError(f"schedule: {key} must be a list of numbers, got {values!r}")
+    columns = dict(obj, dipoles=obj.get("dipoles", [1.0] * len(obj["levels"])))
+    per_pulse = [columns[key] for key in ("levels", "areas", "phases", "dipoles")]
+    lengths = list(map(len, per_pulse))
+    if len(set(lengths)) > 1:
+        raise ValidationError(
+            f"schedule: levels, areas, phases and dipoles must have one entry per pulse, got lengths {lengths}"
+        )
+    m = lengths[0]
+    if len(columns["offsets"]) != m + 1:
+        raise ValidationError(
+            f"schedule: offsets must have one entry more than the {m} pulses, got {len(columns['offsets'])}"
+        )
+    fields = ("level", "area", "phase", "dipole")
+    rows = [[_number(column[n], f"pulse {n}", field) for field, column in zip(fields, per_pulse)] for n in range(m)]
+    offsets, points, residual = (
+        [_number(x, "schedule", key) for x in columns[key]] for key in ("offsets", "breakpoints", "residual_phases")
+    )
+    if len(points) % 2:
+        raise ValidationError(f"schedule: breakpoints must hold (t, amplitude) pairs, got an odd count {len(points)}")
+    for x in offsets:
+        if not x.is_integer():
+            raise ValidationError(f"schedule: offsets must be integers, got {x:g}")
+    if offsets[0] != 0.0:
+        raise ValidationError(f"schedule: offsets must start at 0, got {offsets[0]:g}")
+    for lo, hi in zip(offsets, offsets[1:]):
+        if hi < lo:
+            raise ValidationError(f"schedule: offsets must not decrease, got {lo:g} then {hi:g}")
+    if offsets[-1] != len(points) // 2:
+        raise ValidationError(
+            f"schedule: offsets must end at {len(points) // 2}, the breakpoint row count, got {offsets[-1]:g}"
+        )
+    pairs = list(zip(points[0::2], points[1::2]))
     pulses = []
-    for n, p in enumerate(obj["pulses"]):
-        what = f"pulse {n}"
-        require_keys(p, {"transition", "area", "phase", "breakpoints", "duration"}, optional={"dipole"}, what=what)
-        area = _number(p["area"], what, "area")
-        phase = _number(p["phase"], what, "phase")
-        duration = _number(p["duration"], what, "duration")
-        dipole = _number(p.get("dipole", 1.0), what, "dipole")
-        levels = _numbers(p["transition"], what, "transition")
-        if len(levels) != 2 or not all(x.is_integer() for x in levels):
-            raise ValidationError(f"{what}: transition must be two integer levels, got {p['transition']!r}")
-        flat = _numbers(_flat_rows(p["breakpoints"], 2, what, "breakpoints"), what, "breakpoints")
-        shape = PulseShape(tuple(zip(flat[0::2], flat[1::2])))
-        pulse = TransitionPulse((int(levels[0]), int(levels[1])), area, phase, shape=shape, dipole=dipole)
-        if abs(shape.duration - duration) > _DURATION_RTOL * max(1.0, duration):
-            raise ValidationError(
-                f"{what}: duration {duration} differs from {shape.duration}, "
-                "the envelope's last breakpoint time (0.0 when it has none)"
-            )
-        pulses.append(pulse)
-    residual = np.array(_numbers(obj["residual_phases"], "schedule", "residual_phases"))
-    if not residual.size:
-        raise ValidationError("schedule: residual_phases is empty; it holds one phase per level")
-    sched = PulseSchedule(pulses=pulses, residual_phases=residual)
-    stored = _number(obj["total_time"], "schedule", "total_time")
-    summed = float(np.cumsum([0.0] + [sp.shape.duration for sp in pulses])[-1])
-    if abs(stored - summed) > _DURATION_RTOL * max(1.0, summed):
-        raise ValidationError(f"schedule: total_time {stored} differs from the summed durations {summed}")
-    return sched
+    for (k, area, phase, dipole), lo, hi in zip(rows, offsets, offsets[1:]):
+        shape = PulseShape(tuple(pairs[int(lo) : int(hi)]))
+        transition = (int(k), int(k) + 1) if k.is_integer() else (k, k + 1)
+        pulses.append(TransitionPulse(transition, area, phase, shape=shape, dipole=dipole))
+    return PulseSchedule(pulses=pulses, residual_phases=np.array(residual))
 
 
 def envelope_csv_records(sched):

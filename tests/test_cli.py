@@ -109,10 +109,9 @@ def test_synth_then_simulate_chain(tmp_path):
     assert code == 0
     with open(os.path.join(outdir, "schedule.json")) as fh:
         sched_doc = json.load(fh)
-    transitions = [tuple(p["transition"]) for p in sched_doc["pulses"]]
-    assert transitions == [(2, 3), (1, 2), (3, 4), (2, 3)]
-    for p in sched_doc["pulses"]:
-        assert 1e-10 < p["duration"] < 1e-7
+    assert sched_doc["format"] == 2 and sched_doc["levels"] == [2, 1, 3, 2]
+    ends = [sched_doc["breakpoints"][2 * hi - 2] for hi in sched_doc["offsets"][1:]]
+    assert all(1e-10 < t < 1e-7 for t in ends)
 
     with open(problem) as fh:
         target = json.load(fh)["payload"]["target"]
@@ -283,22 +282,22 @@ def _edited(name, edit):
     return problem
 
 
-def _set_pulse(key, value):
+def _set_pulse(column, value):
     def edit(payload):
-        payload["schedule"]["pulses"][0][key] = value
+        payload["schedule"][column][0] = value
     return edit
 
 
 def _drop_target_nan_phase(payload):
     del payload["target"]
-    payload["schedule"]["pulses"][0]["phase"] = float("nan")
+    payload["schedule"]["phases"][0] = float("nan")
 
 
 @pytest.mark.parametrize(
     "name, edit, field",
     [
-        pytest.param("simulate_half_swap.json", _set_pulse("area", "abc"), "area", id="area-string"),
-        pytest.param("simulate_half_swap.json", _set_pulse("phase", None), "phase", id="phase-null"),
+        pytest.param("simulate_half_swap.json", _set_pulse("areas", "abc"), "area", id="area-string"),
+        pytest.param("simulate_half_swap.json", _set_pulse("phases", None), "phase", id="phase-null"),
         pytest.param("simulate_half_swap.json", _drop_target_nan_phase, "phase", id="phase-nan"),
         pytest.param(
             "binding_singlet.json",
@@ -521,21 +520,14 @@ def _no_residual_phases(payload):
     payload["schedule"]["residual_phases"] = []
 
 
-def _stray_duration(payload):
-    # a second pulse with no breakpoints but a duration, which total_time leaves out
-    pulses = payload["schedule"]["pulses"]
-    pulses.append(dict(pulses[0], breakpoints=[], duration=5.0))
-
-
 def _early_pulse(payload):
-    # pulse 1's envelope moved 1 earlier in the document, its duration and total_time with it
+    # pulse 1's envelope moved 1 earlier in the document
     del payload["rho0"]
     sched, target = early_pulse_schedule(0.0)
     doc = schedule_to_json(sched)
-    pulse = doc["pulses"][1]
-    pulse["breakpoints"] = [[t - 1.0, a] for t, a in pulse["breakpoints"]]
-    pulse["duration"] = pulse["breakpoints"][-1][0]
-    doc["total_time"] = sum(p["duration"] for p in doc["pulses"])
+    lo, hi = doc["offsets"][1:3]
+    for i in range(2 * lo, 2 * hi, 2):
+        doc["breakpoints"][i] -= 1.0
     payload["schedule"] = doc
     payload["target"] = matrix_to_json(target)
 
@@ -546,7 +538,6 @@ def _early_pulse(payload):
         pytest.param(_target_3x3, ["target", "dimension 2"], id="target-of-another-dimension"),
         pytest.param(_no_residual_phases, ["residual_phases"], id="empty-residual-phases"),
         pytest.param(_early_pulse, ["pulse 1", "breakpoint"], id="envelope-before-its-pulse"),
-        pytest.param(_stray_duration, ["pulse 1", "duration"], id="duration-without-breakpoints"),
     ],
 )
 def test_malformed_simulate_schedule_exits_2_naming_it(tmp_path, capsys, edit, words):

@@ -5,12 +5,15 @@ oracles in serial_oracles.py do the same work one pulse record at a time.
 The two must give the same bytes, the same records and the same errors.
 """
 
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from qbond.cli import main
 from qbond.errors import ValidationError
 from qbond.pulse_synthesis import PulseConstraints, PulseSchedule, schedule, shape_pulse
 from qbond.serialization import envelope_csv, schedule_from_json, schedule_to_json
@@ -88,59 +91,105 @@ def _doc():
     return json.loads(json.dumps(schedule_to_json(sched)))
 
 
-def _set(key, value):
-    def edit(pulse):
-        pulse[key] = value
+def _set(key, value, n=1):
+    def edit(doc):
+        doc[key][n] = value
     return edit
 
 
-def _ragged_row(pulse):
-    pulse["breakpoints"][1] = [1.0]
+def _row(doc, i):
+    """Index in the flat breakpoints of pulse 1's row i (its time; its amplitude is next)."""
+    return 2 * (doc["offsets"][1] + i)
 
 
-def _stretched(pulse):
-    pulse["duration"] *= 1.5
+def _ragged_row(doc):
+    # pulse 1's first row loses its amplitude
+    del doc["breakpoints"][_row(doc, 0) + 1]
 
 
-def _early_start(pulse):
-    pulse["breakpoints"][0][0] = -1.0
+def _early_start(doc):
+    doc["breakpoints"][_row(doc, 0)] = -1.0
 
 
-def _backwards(pulse):
-    # a middle breakpoint past the last one; the duration still matches
-    pulse["breakpoints"][1][0] = 2.0 * pulse["duration"]
+def _backwards(doc):
+    # pulse 1's second breakpoint time past its last one
+    doc["breakpoints"][_row(doc, 1)] = 2.0 * doc["breakpoints"][2 * doc["offsets"][2] - 2]
 
 
-# (fault, whether the new message adds a "pulse n: " prefix to the record's)
+def _per_pulse_document(doc):
+    doc.clear()
+    doc.update(
+        pulses=[
+            {"transition": [1, 2], "area": 0.5, "phase": 0.0, "breakpoints": [[0.0, 0.0], [2.0, 0.0]], "duration": 2.0}
+        ],
+        residual_phases=[0.0, 0.0],
+        total_time=2.0,
+    )
+
+
+def _shift_offset(i, delta):
+    def edit(doc):
+        doc["offsets"][i] += delta
+    return edit
+
+
+def _decreasing_offsets(doc):
+    doc["offsets"][1] = doc["offsets"][2] + 1
+
+
+# (fault, whether the new message adds a "pulse n: " prefix to the record's, a word the message must hold)
 FAULTS = [
-    pytest.param(_set("area", True), False, id="bool-area"),
-    pytest.param(_set("phase", math.nan), False, id="nan-phase"),
-    pytest.param(_set("area", 2**1100), False, id="int-past-the-float-range"),
-    pytest.param(_set("breakpoints", [[0.0, 0.05], [1.0, "x"], [2.0, 0.05]]), False, id="string-breakpoint"),
-    pytest.param(_set("transition", [2, 4]), True, id="transition-2-4"),
-    pytest.param(_set("transition", [1.5, 2.5]), False, id="fractional-transition"),
-    pytest.param(_set("area", 4.0), True, id="area-4"),
-    pytest.param(_set("dipole", 0), True, id="dipole-0"),
-    pytest.param(_ragged_row, False, id="ragged-breakpoint-row"),
-    pytest.param(_stretched, False, id="duration-mismatch"),
-    pytest.param(_set("extra", 1.0), False, id="unknown-key"),
+    pytest.param(_set("areas", True), False, "pulse 1", id="bool-area"),
+    pytest.param(_set("phases", math.nan), False, "pulse 1", id="nan-phase"),
+    pytest.param(_set("areas", 2**1100), False, "pulse 1", id="int-past-the-float-range"),
+    pytest.param(_set("levels", "2"), False, "pulse 1: level", id="string-level"),
+    pytest.param(_set("breakpoints", "x", 3), False, "breakpoints", id="string-breakpoint"),
+    pytest.param(_set("offsets", True, 2), False, "offsets", id="bool-offset"),
+    pytest.param(_set("residual_phases", math.nan, 0), False, "residual_phases", id="nan-residual-phase"),
+    pytest.param(_set("levels", 1.5), True, "pulse 1", id="fractional-transition"),
+    pytest.param(_set("areas", 4.0), True, "pulse 1", id="area-4"),
+    pytest.param(_set("dipoles", 0), True, "pulse 1", id="dipole-0"),
+    pytest.param(_ragged_row, False, "breakpoints", id="ragged-breakpoint-row"),
+    pytest.param(lambda doc: doc["breakpoints"].append(0.0), False, "breakpoints", id="odd-length-breakpoints"),
+    pytest.param(lambda doc: doc.update(extra=1.0), False, "extra", id="unknown-key"),
+    pytest.param(lambda doc: doc.update(levels=2), False, "levels", id="levels-not-a-list"),
+    pytest.param(lambda doc: doc["phases"].pop(), False, "phases", id="column-length-mismatch"),
+    pytest.param(lambda doc: doc["offsets"].pop(), False, "offsets", id="offsets-one-short"),
+    pytest.param(_set("offsets", 1, 0), False, "offsets", id="offsets-not-starting-at-0"),
+    pytest.param(_decreasing_offsets, False, "offsets", id="decreasing-offsets"),
+    pytest.param(_shift_offset(-1, 1), False, "offsets", id="offsets-end-off-the-row-count"),
+    pytest.param(_shift_offset(1, 0.5), False, "offsets", id="fractional-offset"),
+    pytest.param(_per_pulse_document, False, "format 2", id="format-1-document"),
+    pytest.param(lambda doc: doc.update(format=3), False, "format 2", id="format-3"),
+    pytest.param(lambda doc: doc.update(format=2.0), False, "format 2", id="float-format"),
     # the schedule's own rules: the records oracle meets them in PulseSchedule(...), which names the pulse
-    pytest.param(_set("transition", [3, 4]), False, id="transition-3-4-at-d-3"),
-    pytest.param(_backwards, False, id="decreasing-breakpoint-times"),
-    pytest.param(_early_start, False, id="first-breakpoint-at-minus-1"),
+    pytest.param(_set("levels", 3), False, "pulse 1", id="transition-3-4-at-d-3"),
+    pytest.param(_backwards, False, "pulse 1", id="decreasing-breakpoint-times"),
+    pytest.param(_early_start, False, "pulse 1", id="first-breakpoint-at-minus-1"),
 ]
 
 
-@pytest.mark.parametrize("edit, prefixed", FAULTS)
-def test_both_decoders_give_the_same_message_for_one_fault(edit, prefixed):
+@pytest.mark.parametrize("edit, prefixed, named", FAULTS)
+def test_both_decoders_give_the_same_message_for_one_fault(edit, prefixed, named):
     doc = _doc()
-    edit(doc["pulses"][1])
+    edit(doc)
     with pytest.raises(ValidationError) as old:
         schedule_from_json_records(doc)
     with pytest.raises(ValidationError) as new:
         schedule_from_json(doc)
     assert str(new.value) == ("pulse 1: " if prefixed else "") + str(old.value)
-    assert "pulse 1" in str(new.value)
+    assert named in str(new.value)
+
+
+@pytest.mark.parametrize("edit, prefixed, named", FAULTS)
+def test_each_fault_exits_2_through_the_cli_naming_it(tmp_path, capsys, edit, prefixed, named):
+    doc = _doc()
+    edit(doc)
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"mode": "simulate", "payload": {"schedule": doc}}))
+    assert main(["simulate", "--in", str(problem), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 def test_pulses_are_records_built_on_read():
@@ -156,3 +205,19 @@ def test_pulses_are_records_built_on_read():
     with pytest.raises(ValueError):
         sched.start_times[0] = 1.0
     assert sched.total_time == sum(sched.durations.tolist())
+
+
+@pytest.mark.parametrize(
+    "copy_of", [copy.deepcopy, copy.copy, lambda s: pickle.loads(pickle.dumps(s))], ids=["deepcopy", "copy", "pickle"]
+)
+def test_copies_keep_equal_read_only_columns(copy_of):
+    sched = schedule(random_unitary(np.random.default_rng(1909), 5), FLOOR)
+    sched.total_time  # a cached clock is not carried over, only the columns
+    twin = copy_of(sched)
+    for name in ("levels", "areas", "phases", "dipoles", "breakpoints", "offsets", "residual_phases"):
+        column = getattr(twin, name)
+        assert np.array_equal(column, getattr(sched, name)) and column.dtype == getattr(sched, name).dtype
+        assert not column.flags.writeable
+    with pytest.raises(ValueError):
+        twin.breakpoints[-1, 0] = 99.0
+    assert twin.total_time == sched.total_time and not twin.start_times.flags.writeable

@@ -372,17 +372,30 @@ def test_simulate_plays_recorded_dipoles_not_inferred_ones():
     doc = json.loads(json.dumps(schedule_to_json(sched)))
     honest = simulate_schedule(schedule_from_json(doc), target=u_target).fidelity_to_target
     assert honest >= 1.0 - 1e-9
-    for p in doc["pulses"]:
-        p["breakpoints"] = [[t, 0.5 * a] for t, a in p["breakpoints"]]
+    doc["breakpoints"][1::2] = [0.5 * a for a in doc["breakpoints"][1::2]]
     halved = schedule_from_json(json.loads(json.dumps(doc)))
     assert simulate_schedule(halved, target=u_target).fidelity_to_target < 0.99
+
+
+def test_a_segment_too_narrow_for_its_slope_plays_a_finite_trajectory():
+    # the rise to the peak takes 1e-320: its slope overflows, the area it plays does not
+    path = os.path.join(os.path.dirname(__file__), "..", "problems", "simulate_half_swap.json")
+    with open(path) as fh:
+        doc = json.load(fh)["payload"]["schedule"]
+    doc["breakpoints"][2] = 1e-320
+    sched = schedule_from_json(doc)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # underflow is expected at 1e-320
+        result = simulate_schedule(sched, rho0=np.diag([1.0, 0.0]), samples=201)
+    states = np.array(result.state_trajectory)
+    assert np.isfinite(states).all() and np.isfinite(result.energy_trajectory).all()
+    assert np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max() < 1e-12
 
 
 def test_schedule_file_without_dipoles_plays_at_one():
     path = os.path.join(os.path.dirname(__file__), "..", "problems", "simulate_half_swap.json")
     with open(path) as fh:
         payload = json.load(fh)["payload"]
-    assert all("dipole" not in p for p in payload["schedule"]["pulses"])
+    assert "dipoles" not in payload["schedule"]
     sched = schedule_from_json(payload["schedule"])
     assert [sp.dipole for sp in sched.pulses] == [1.0] * len(sched.pulses)
     implicit = simulate_schedule(sched).final_unitary

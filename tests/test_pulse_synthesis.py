@@ -85,6 +85,16 @@ def test_transition_pulse_validation():
             TransitionPulse(transition=(1, 2), area=0.1, phase=0.0, dipole=dipole)
 
 
+def test_fractional_transition_is_refused_on_every_route():
+    # int() of the level would play (1, 2) for (1.5, 2.5)
+    words = r"transition must be two integer levels, got \(1.5, 2.5\)"
+    with pytest.raises(ValidationError, match=words):
+        TransitionPulse(transition=(1.5, 2.5), area=0.3, phase=0.0)
+    with pytest.raises(ValidationError, match=words):
+        PulseSchedule([TransitionPulse((1.5, 2.5), 0.3, 0.0)], [0.0, 0.0, 0.0])
+    assert TransitionPulse(transition=(1.0, 2.0), area=0.3, phase=0.0).transition == (1.0, 2.0)
+
+
 def test_area_phase_trivial_columns():
     assert area_phase_from_column(np.array([1.0, 0.0]), 1) == (0.0, 0.0)
     c, _ = area_phase_from_column(np.array([0.0, 1.0]), 1)

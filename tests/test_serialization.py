@@ -102,85 +102,60 @@ def test_schedule_round_trip_keeps_recorded_dipoles():
     assert [sp.dipole for sp in again.pulses] == recorded
 
 
+def _two_pulse_doc():
+    return {
+        "format": 2,
+        "levels": [1, 1],
+        "areas": [0.5, 0.5],
+        "phases": [0.0, 0.0],
+        "offsets": [0, 3, 6],
+        "breakpoints": [0.0, 0.0, 1.0, 1.0, 2.0, 0.0] * 2,
+        "residual_phases": [0.0, 0.0],
+    }
+
+
 def test_schedule_from_json_rejects_bad_dipole():
     for bad in (0.0, -1.0, float("nan"), float("inf"), "2", True):
-        doc = {
-            "pulses": [
-                {
-                    "transition": [1, 2],
-                    "area": 0.5,
-                    "phase": 0.0,
-                    "breakpoints": [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]],
-                    "duration": 2.0,
-                    "dipole": bad,
-                }
-            ],
-            "residual_phases": [0.0, 0.0],
-            "total_time": 2.0,
-        }
-        with pytest.raises(ValidationError, match="dipole"):
+        doc = dict(_two_pulse_doc(), dipoles=[1.0, bad])
+        with pytest.raises(ValidationError, match="pulse 1: dipole"):
             schedule_from_json(doc)
 
 
-def test_schedule_from_json_rejects_inconsistent_duration():
-    doc = {
-        "pulses": [
-            {
-                "transition": [1, 2],
-                "area": 0.5,
-                "phase": 0.0,
-                "breakpoints": [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]],
-                "duration": 5.0,
-            }
-        ],
-        "residual_phases": [0.0, 0.0],
-        "total_time": 5.0,
-    }
-    with pytest.raises(ValidationError):
-        schedule_from_json(doc)
-
-
-def _two_pulse_doc():
-    pulse = {"transition": [1, 2], "area": 0.5, "phase": 0.0, "breakpoints": [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]}
-    return {
-        "pulses": [dict(pulse, duration=2.0), dict(pulse, duration=2.0)],
-        "residual_phases": [0.0, 0.0],
-        "total_time": 4.0,
-    }
-
-
 def test_schedule_from_json_checks_the_duration_of_a_pulse_without_breakpoints():
-    doc = _two_pulse_doc()
-    doc["pulses"][1].update(breakpoints=[], duration=5.0)
-    doc["total_time"] = 2.0
-    with pytest.raises(ValidationError, match="pulse 1: duration 5.0"):
-        schedule_from_json(doc)
-    doc["pulses"][1]["duration"] = 0.0
+    # pulse 1 owns no rows: it takes no time, and its end is not stored to disagree with
+    doc = dict(_two_pulse_doc(), offsets=[0, 3, 3], breakpoints=[0.0, 0.0, 1.0, 1.0, 2.0, 0.0])
     sched = schedule_from_json(doc)
     assert sched.pulses[1].shape.breakpoints == ()
+    assert sched.durations.tolist() == [2.0, 0.0]
     assert sched.start_times.tolist() == [0.0, 2.0] and sched.total_time == 2.0
 
 
 def test_schedule_from_json_clock_follows_the_breakpoints_not_the_stored_duration():
-    doc = _two_pulse_doc()
-    doc["pulses"][0]["duration"] = 2.0 * (1.0 + 5e-10)
-    doc["total_time"] = doc["pulses"][0]["duration"] + 2.0
-    sched = schedule_from_json(doc)
-    assert sched.start_times.tolist() == [0.0, 2.0]
-    assert sched.total_time == 4.0
-    assert schedule_to_json(sched)["pulses"][0]["duration"] == 2.0
-    doc["pulses"][0]["duration"] = 2.0 * (1.0 + 2e-9)
-    with pytest.raises(ValidationError, match="pulse 0: duration"):
-        schedule_from_json(doc)
+    # no duration or total_time is stored: the clock reads each pulse's last breakpoint time,
+    # and a document that states either is refused rather than trusted
+    sched = schedule_from_json(_two_pulse_doc())
+    assert sched.start_times.tolist() == [0.0, 2.0] and sched.total_time == 4.0
+    for key, value in (("total_time", 4.0), ("durations", [2.0, 2.0])):
+        with pytest.raises(ValidationError, match=f"unknown keys \\['{key}'\\]"):
+            schedule_from_json(dict(_two_pulse_doc(), **{key: value}))
 
 
-def test_schedule_from_json_rejects_total_time_off_the_durations():
-    sched = schedule(random_unitary(np.random.default_rng(29), 3), PulseConstraints(amplitude_max=1.0))
-    doc = json.loads(json.dumps(schedule_to_json(sched)))
-    assert schedule_from_json(doc).total_time == sched.total_time
-    doc["total_time"] = sched.total_time * (1.0 + 1e-6)
-    with pytest.raises(ValidationError, match="total_time"):
-        schedule_from_json(doc)
+def test_schedule_from_json_refuses_a_level_without_a_float_successor():
+    # past 2**53 a float level k has no k + 1 to name
+    with pytest.raises(ValidationError, match="pulse 0: transition must be two integer levels"):
+        schedule_from_json(dict(_two_pulse_doc(), levels=[1e300, 1]))
+
+
+def test_schedule_document_is_seven_flat_columns():
+    sched = schedule(random_unitary(np.random.default_rng(29), 5), PulseConstraints(amplitude_max=1.0))
+    doc = schedule_to_json(sched)
+    assert list(doc) == ["format", "levels", "areas", "phases", "dipoles", "offsets", "breakpoints", "residual_phases"]
+    assert doc["format"] == 2
+    assert all(type(x) in (int, float) for key in list(doc)[1:] for x in doc[key])
+    again = schedule_from_json(json.loads(json.dumps(doc)))
+    for name in ("levels", "areas", "phases", "dipoles", "breakpoints", "offsets", "residual_phases"):
+        assert np.array_equal(getattr(again, name), getattr(sched, name))
+        assert getattr(again, name).dtype == getattr(sched, name).dtype
 
 
 def _envelope_rows(sched):
@@ -238,11 +213,9 @@ def _clock_schedules():
         yield schedule(random_unitary(rng, d), limits)
     # hand-edited schedule.json: one pulse in the middle loses its envelope
     doc = schedule_to_json(schedule(random_unitary(rng, 6), limits))
-    doc["pulses"][4].update(breakpoints=[], duration=0.0)
-    total = 0.0
-    for p in doc["pulses"]:
-        total += p["duration"]
-    doc["total_time"] = total
+    lo, hi = doc["offsets"][4:6]
+    del doc["breakpoints"][2 * lo : 2 * hi]
+    doc["offsets"][5:] = [x - (hi - lo) for x in doc["offsets"][5:]]
     yield schedule_from_json(doc)
 
 
