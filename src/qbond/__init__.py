@@ -59,9 +59,7 @@ from .pulse_synthesis import (
     TransitionPulse,
     area_phase_from_column,
     givens_decompose,
-    pulse_unitary,
     schedule,
-    shape_pulse,
 )
 from .tunneling_well import (
     BoundState,
@@ -119,9 +117,7 @@ __all__ = [
     "optimal_unitary_pure",
     "partial_trace",
     "passive_state",
-    "pulse_unitary",
     "schedule",
-    "shape_pulse",
     "simulate_schedule",
     "tensor_product",
     "thermal_final_state",

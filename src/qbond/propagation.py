@@ -193,14 +193,9 @@ def simulate_schedule(
     16 bytes are estimated before any is allocated, and an estimate past
     TRAJECTORY_BUDGET_BYTES raises NumericalError.
     """
-    if (
-        isinstance(steps_per_segment, bool)
-        or not isinstance(steps_per_segment, numbers.Integral)
-        or steps_per_segment < 1
-    ):
-        raise ValidationError(
-            f"steps_per_segment must be an integer >= 1, got {steps_per_segment!r}"
-        )
+    for name, count in (("steps_per_segment", steps_per_segment), ("samples", samples)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ValidationError(f"{name} must be an integer >= 1, got {count!r}")
     d = sched.dimension
     if target is not None:
         target = as_square_matrix(target)

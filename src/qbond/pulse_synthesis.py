@@ -11,9 +11,9 @@ area is the dipole-weighted envelope integral, C = D_k * integral A(t) dt
 measured above the envelope baseline, so a full population swap is
 C = pi / 2. _blocks builds an (m, 2, 2) stack of these blocks from arrays
 of areas and phases; it is the only code that writes the block. Its
-callers (pulse_unitary, the decomposition, reconstruct and schedule
-playback) left-multiply (m, 2, n) stacks of disjoint row pairs with it, so
-one numpy product applies a whole layer of pulses.
+callers (the decomposition, reconstruct and schedule playback)
+left-multiply (m, 2, n) stacks of disjoint row pairs with it, so one
+numpy product applies a whole layer of pulses.
 
 Decomposition walks columns of the target from last to first (Reck
 order). Within a column the nonzero entries above the diagonal position
@@ -39,21 +39,20 @@ and the constraints once per transition, and refuses an envelope whose
 breakpoints do not realize C / D_k within REALIZED_AREA_RTOL.
 
 A PulseSchedule holds the train as read-only columns, with envelopes as
-rows of one breakpoint table; TransitionPulse and PulseShape records are a
-view built on read and a way to build a schedule by hand. Pulses play back
-to back on one clock, built once per schedule. Every rule of a schedule is
-stated once, in PulseSchedule._check, which runs where a schedule enters
-the library: PulseSchedule(...) and serialization.schedule_from_json.
-givens_decompose and schedule build valid columns and skip it.
+rows of one breakpoint table. PulseSchedule(levels, areas, phases,
+dipoles, breakpoints, offsets, residual_phases) is the one checked way in:
+every rule of a schedule is stated once, in PulseSchedule._check, and
+serialization.schedule_from_json reads a document's columns into it.
+givens_decompose and schedule build valid columns and skip the check.
+TransitionPulse and PulseShape records are a read-out view, built on
+read. Pulses play back to back on one clock, built once per schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import functools
-from itertools import accumulate, chain
 import math
-import numbers
 
 import numpy as np
 
@@ -65,6 +64,8 @@ ELIMINATION_ATOL = 1e-13
 DIAGONAL_ATOL = 1e-10
 # a shaped envelope's realized area may differ from area / dipole by this much, relatively
 REALIZED_AREA_RTOL = 1e-6
+# past it a float level k has no k + 1
+_LEVEL_MAX = 2.0**53
 
 
 def _wrap_angle(angle):
@@ -158,12 +159,13 @@ class PulseShape:
 
 @dataclass(frozen=True)
 class TransitionPulse:
-    """Resonant pulse on one nearest-neighbor transition, and the envelope that plays it.
+    """One pulse of a PulseSchedule as PulseSchedule.pulses reads it out.
 
     transition is the 1-based level pair (k, k+1); area is the rotation
     coefficient C in [0, pi); phase is the carrier phase in (-pi, pi];
     shape is the envelope (PulseShape(()) when unshaped) and dipole the
-    D_k it was shaped for.
+    D_k it was shaped for. A record is output only: the schedule's
+    columns were checked when it was built, and no function takes one.
     """
 
     transition: tuple[int, int]
@@ -171,16 +173,6 @@ class TransitionPulse:
     phase: float
     shape: PulseShape = PulseShape(())
     dipole: float = 1.0
-
-    def __post_init__(self):
-        k, k1 = self.transition
-        if not all(isinstance(x, numbers.Integral) or float(x).is_integer() for x in (k, k1)):
-            raise ValidationError(f"transition must be two integer levels, got {self.transition}")
-        if k1 != k + 1 or k < 1:
-            raise ValidationError(f"transition must be (k, k+1) with k >= 1, got {self.transition}")
-        if not (0.0 <= self.area < math.pi):
-            raise ValidationError(f"area must lie in [0, pi), got {self.area}")
-        _dipole(None, k, self.dipole)
 
 
 @dataclass(init=False, eq=False)
@@ -196,9 +188,10 @@ class PulseSchedule:
 
         (product of pulse unitaries, leftmost = last applied) @ R^dag = target.
 
-    PulseSchedule(pulses, residual_phases) builds checked columns from
-    TransitionPulse records, and pulses gives them back as records. The
-    columns are read-only; durations, start_times and total_time are read off them.
+    PulseSchedule(levels, areas, phases, dipoles, breakpoints, offsets,
+    residual_phases) copies the seven columns, checks them and makes them
+    read-only, so the caller's arrays stay writable. pulses reads them out
+    as records; durations, start_times and total_time are read off them.
     """
 
     levels: np.ndarray
@@ -209,19 +202,14 @@ class PulseSchedule:
     offsets: np.ndarray
     residual_phases: np.ndarray
 
-    def __init__(self, pulses, residual_phases):
-        pulses = list(pulses)
-        shapes = [sp.shape.breakpoints for sp in pulses]
-        self._set(
-            [sp.transition[0] for sp in pulses],
-            [sp.area for sp in pulses],
-            [sp.phase for sp in pulses],
-            [sp.dipole for sp in pulses],
-            list(chain.from_iterable(shapes)),
-            np.fromiter(accumulate(map(len, shapes), initial=0), dtype=int, count=len(shapes) + 1),
-            np.array(residual_phases, dtype=float),  # a copy, so the caller's array stays writable
-        )
+    def __init__(self, levels, areas, phases, dipoles, breakpoints, offsets, residual_phases):
+        # float copies: levels and offsets are checked as given, before _set casts them to int
+        columns = (levels, areas, phases, dipoles, breakpoints, offsets, residual_phases)
+        copies = [np.array(column, dtype=float) for column in columns]
+        self.levels, self.areas, self.phases, self.dipoles = copies[:4]
+        self.breakpoints, self.offsets, self.residual_phases = copies[4:]
         self._check()
+        self._set(*copies)
 
     @classmethod
     def _from_columns(cls, levels, areas, phases, dipoles, breakpoints, offsets, residual_phases):
@@ -241,7 +229,7 @@ class PulseSchedule:
         self.areas = np.asarray(areas, dtype=float)
         self.phases = np.asarray(phases, dtype=float)
         self.dipoles = np.asarray(dipoles, dtype=float)
-        self.breakpoints = np.asarray(breakpoints, dtype=float).reshape(-1, 2)
+        self.breakpoints = np.asarray(breakpoints, dtype=float)
         self.offsets = np.asarray(offsets, dtype=int)
         self.residual_phases = np.asarray(residual_phases, dtype=float)
         # the seven columns just set, read-only so a checked schedule and its cached clock stay true
@@ -249,50 +237,97 @@ class PulseSchedule:
             column.setflags(write=False)
 
     def _check(self) -> None:
-        """Refuse a schedule that breaks a rule, naming the first pulse that does.
+        """Refuse columns that break a rule of a schedule, with the first rule they break.
 
-        residual_phases is non-empty (its length is d) and finite; per pulse 1 <= k < d, an area in [0, pi),
-        a finite dipole > 0, a finite phase, and finite breakpoints whose times start at 0 or later (else the
-        envelope reaches into the pulse before) and never decrease. Only a fault builds a message.
+        The structure first: one levels, areas, phases and dipoles entry per
+        pulse and one offsets entry more; breakpoints an (N, 2) table;
+        integer offsets that start at 0, never decrease and end at N; integer
+        levels below 2**53. Then residual_phases is non-empty (its length is
+        d); per pulse 1 <= k < d, an area in [0, pi), a finite dipole > 0, a
+        finite phase, and finite breakpoints whose times start at 0 or later
+        (else the envelope reaches into the pulse before) and never decrease,
+        naming the first pulse that breaks one; and residual_phases is finite.
+        Only a fault builds a message.
         """
-        d, residual, points = self.dimension, self.residual_phases, self.breakpoints
+        levels, offsets, points, d = self.levels, self.offsets, self.breakpoints, self.dimension
+        lengths = [len(c) for c in (levels, self.areas, self.phases, self.dipoles)]
+        if len(set(lengths)) > 1:
+            raise ValidationError(
+                f"schedule: levels, areas, phases and dipoles must have one entry per pulse, got lengths {lengths}"
+            )
+        if len(offsets) != lengths[0] + 1:
+            raise ValidationError(
+                f"schedule: offsets must have one entry more than the {lengths[0]} pulses, got {len(offsets)}"
+            )
+        if points.ndim != 2 or points.shape[1] != 2:
+            raise ValidationError(
+                f"schedule: breakpoints must be an (N, 2) table of (t, amplitude) rows, got shape {points.shape}"
+            )
+        steps = np.diff(offsets)
+        if not (offsets == np.floor(offsets)).all():
+            fraction = offsets[offsets != np.floor(offsets)][0]
+            raise ValidationError(f"schedule: offsets must be integers, got {fraction:g}")
+        if offsets[0] != 0:
+            raise ValidationError(f"schedule: offsets must start at 0, got {offsets[0]:g}")
+        if (steps < 0).any():
+            n = int(np.flatnonzero(steps < 0)[0])
+            raise ValidationError(f"schedule: offsets must not decrease, got {offsets[n]:g} then {offsets[n + 1]:g}")
+        if offsets[-1] != len(points):
+            raise ValidationError(
+                f"schedule: offsets must end at {len(points)}, the breakpoint row count, got {offsets[-1]:g}"
+            )
+        # an integer level below 2**53, where a float still holds k + 1
+        whole = (levels == np.floor(levels)) & (np.abs(levels) < _LEVEL_MAX)
+        if not whole.all():
+            n = int(whole.argmin())
+            k = float(levels[n])
+            raise ValidationError(f"pulse {n}: transition must be two integer levels, got {(k, k + 1)}")
         if not d:
             raise ValidationError("schedule: residual_phases is empty; it holds one phase per level")
-        # each row's least time: the row before it, or 0 for the first row of its pulse
-        least = np.concatenate(([0.0], points[:, 0]))
-        least[self.offsets[:-1]] = 0.0
-        rows = points[:, 0] >= least[:-1]
-        ok = (self.levels >= 1) & (self.levels < d) & (self.areas >= 0.0) & (self.areas < math.pi)
-        ok &= (self.dipoles > 0.0) & (self.dipoles < math.inf) & np.isfinite(self.phases)
-        if ok.all() and rows.all() and np.isfinite(points).all() and np.isfinite(residual).all():
+
+        times = points[:, 0]
+        first = np.zeros(len(points), dtype=bool)  # each pulse's first breakpoint row
+        first[offsets[:-1][steps > 0].astype(int)] = True
+        # (ok per pulse, or per breakpoint row, and the message for a pulse that is not), in the order they are checked
+        per_pulse = [
+            (levels < d, "transition ({k}, {k1}) exceeds dimension {d}"),
+            (levels >= 1, "transition must be (k, k+1) with k >= 1, got ({k}, {k1})"),
+            ((self.areas >= 0.0) & (self.areas < math.pi), "area must lie in [0, pi), got {area}"),
+            (
+                (self.dipoles > 0.0) & (self.dipoles < math.inf),
+                "dipole for transition ({k}, {k1}) must be finite and positive, got {dipole}",
+            ),
+            (np.isfinite(self.phases), "phase must be finite, got {phase}"),
+        ]
+        per_row = [
+            (np.isfinite(times) & np.isfinite(points[:, 1]), "breakpoints must be finite, got {points}"),
+            (~first | (times >= 0.0), "breakpoint times must start at 0 or later, got {start}"),
+            (first | (times >= np.append(0.0, times[:-1])), "breakpoint times must not decrease, got {t0} then {t1}"),
+        ]
+        finite_residual = np.isfinite(self.residual_phases).all()
+        if all(ok.all() for ok, _ in per_pulse + per_row) and finite_residual:
             return
-        rows &= np.isfinite(points).all(axis=1)
-        ok[np.repeat(np.arange(len(ok)), np.diff(self.offsets))[~rows]] = False
-        if ok.all():
-            raise ValidationError(f"schedule: residual_phases must be finite, got {residual.tolist()}")
-        n = int(ok.argmin())
-        k, area, phase, dipole = (x[n].item() for x in (self.levels, self.areas, self.phases, self.dipoles))
-        points = points[self.offsets[n] : self.offsets[n + 1]].tolist()
-        try:
-            _row_pairs(k, d)
-            TransitionPulse((k, k + 1), area, phase, dipole=dipole)  # the record's rules: k >= 1, area, dipole
-            if not math.isfinite(phase):
-                raise ValidationError(f"phase must be finite, got {phase}")
-            if not np.isfinite(points).all():
-                raise ValidationError(f"breakpoints must be finite, got {points}")
-            if points[0][0] < 0.0:
-                raise ValidationError(f"breakpoint times must start at 0 or later, got {points[0][0]}")
-            t0, t1 = next((t0, t1) for (t0, _), (t1, _) in zip(points, points[1:]) if t1 < t0)
-            raise ValidationError(f"breakpoint times must not decrease, got {t0} then {t1}")
-        except ValidationError as exc:
-            raise ValidationError(f"pulse {n}: {exc}") from None
+        owner = np.repeat(np.arange(len(levels)), steps.astype(int))  # the pulse of each row
+        for ok, words in per_row:
+            pulse_ok = np.ones(len(levels), dtype=bool)
+            pulse_ok[owner[~ok]] = False
+            per_pulse.append((pulse_ok, words))
+        failed = ~np.logical_and.reduce([ok for ok, _ in per_pulse])
+        if not failed.any():
+            raise ValidationError(f"schedule: residual_phases must be finite, got {self.residual_phases.tolist()}")
+        # pulse n's first rule broken, and the values its message names
+        n = int(failed.argmax())
+        words = next(words for ok, words in per_pulse if not ok[n])
+        k, rows = int(levels[n]), points[int(offsets[n]) : int(offsets[n + 1])].tolist()
+        start = rows[0][0] if rows else None
+        t0, t1 = next(((a, b) for (a, _), (b, _) in zip(rows, rows[1:]) if b < a), (None, None))
+        area, phase, dipole = (x[n].item() for x in (self.areas, self.phases, self.dipoles))
+        values = dict(k=k, k1=k + 1, d=d, area=area, phase=phase, dipole=dipole, points=rows, start=start, t0=t0, t1=t1)
+        raise ValidationError(f"pulse {n}: " + words.format(**values))
 
     @property
     def pulses(self) -> list[TransitionPulse]:
-        """The pulses as TransitionPulse records, a new list on every read.
-
-        PulseSchedule(pulses, residual_phases) makes a schedule of edited records.
-        """
+        """The pulses as TransitionPulse records, a new list on every read; a read-out view only."""
         points = list(map(tuple, self.breakpoints.tolist()))
         bounds = self.offsets.tolist()
         columns = (self.levels.tolist(), self.areas.tolist(), self.phases.tolist(), self.dipoles.tolist())
@@ -348,7 +383,7 @@ class PulseSchedule:
         Any pulse order works.
         """
         d = self.dimension
-        rows = _row_pairs(self.levels, d)
+        rows = np.stack([self.levels - 1, self.levels], axis=-1)  # zero-based rows (k - 1, k) of each pulse
         blocks = _blocks(self.areas, self.phases)
         free = [0] * d
         layers: list[list[int]] = []
@@ -382,23 +417,6 @@ def _blocks(areas, phases) -> np.ndarray:
     blocks[..., 1, 0] = -e.conj()
     blocks[..., 1, 1] = c
     return blocks
-
-
-def _row_pairs(ks, dimension: int) -> np.ndarray:
-    """Zero-based rows (k - 1, k) of the level pairs (k, k+1), shape (m, 2)."""
-    ks = np.asarray(ks, dtype=int).reshape(-1)
-    if ks.size and ks.max() >= dimension:
-        k = int(ks.max())
-        raise ValidationError(f"transition ({k}, {k + 1}) exceeds dimension {dimension}")
-    return np.stack([ks - 1, ks], axis=-1)
-
-
-def pulse_unitary(pulse: TransitionPulse, dimension: int) -> np.ndarray:
-    """Embed the closed-form pulse block into the identity."""
-    u = np.eye(dimension, dtype=complex)
-    pairs = _row_pairs(pulse.transition[0], dimension)
-    u[pairs] = _blocks([pulse.area], [pulse.phase]) @ u[pairs]
-    return u
 
 
 def area_phase_from_column(column, k: int) -> tuple[float, float]:
@@ -535,7 +553,7 @@ def _shape(areas, dipoles, limits, levels=None) -> tuple[np.ndarray, np.ndarray]
 
 
 def _refuse(i, areas, dipoles, limits, levels, area, peak, duration, realized):
-    """Raise the first of _shape's refusals that pulse i meets, in the order shape_pulse checks them."""
+    """Raise the first of _shape's refusals that pulse i meets: negative area, no headroom, peak, duration, area."""
     amplitude_max, amplitude_min, slew_max, slew_min, cap, _ = (float(x[i]) for x in limits)
     c, d_k, a = float(areas[i]), float(dipoles[i]), float(area[i])
     where = "" if levels is None else f"transition ({levels[i]}, {levels[i] + 1}): "
@@ -561,23 +579,6 @@ def _refuse(i, areas, dipoles, limits, levels, area, peak, duration, realized):
         f"baseline {amplitude_min}, not area / dipole = {a}: the relative error is over "
         f"REALIZED_AREA_RTOL = {REALIZED_AREA_RTOL:g}, the peak lost to rounding against the baseline"
     )
-
-
-def shape_pulse(area_required: float, constraints: PulseConstraints) -> PulseShape:
-    """Minimum-duration envelope realizing the required area above baseline.
-
-    A triangular ramp up and down is optimal while the implied peak stays
-    under the amplitude cap; beyond that the envelope saturates at the
-    cap and holds a plateau (trapezoid). With symmetric slews R the
-    closed forms are duration = 2 sqrt(area / R) for the triangle and
-    duration = M / R + area / M at cap M for the trapezoid; asymmetric
-    slews generalize through the combined ramp factor
-    S = 1 / slew_up + 1 / slew_down. One pulse through the shaper that
-    schedule runs on every pulse at once, with the same refusals.
-    """
-    limits = np.array(constraints._row(), dtype=float)[:, None]
-    points, _ = _shape(np.array([float(area_required)]), np.ones(1), limits)
-    return PulseShape(tuple(map(tuple, points.tolist())))
 
 
 def schedule(target, constraints, dipoles=None) -> PulseSchedule:
@@ -639,9 +640,9 @@ def _lookup(table, key: int, what: str):
         raise ValidationError(f"no {what} entry for transition lower level {key}") from None
 
 
-def _dipole(dipoles, k: int, recorded: float = 1.0) -> float:
-    """D_k for transition (k, k+1): from explicit dipoles when given, else the recorded value."""
-    d_k = recorded if dipoles is None else float(_lookup(dipoles, k, what="dipole"))
+def _dipole(dipoles, k: int) -> float:
+    """D_k for transition (k, k+1): from dipoles (a scalar, or a mapping keyed by k) when given, else 1.0."""
+    d_k = 1.0 if dipoles is None else float(_lookup(dipoles, k, what="dipole"))
     if not (math.isfinite(d_k) and d_k > 0.0):
         raise ValidationError(
             f"dipole for transition ({k}, {k + 1}) must be finite and positive, got {d_k}"

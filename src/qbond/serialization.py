@@ -19,11 +19,12 @@ Pulse i drives levels (k, k+1) with k = levels[i]; its envelope is rows
 offsets[i] to offsets[i + 1] of the (N, 2) breakpoint table, stored flat.
 "dipoles" is optional (1.0 per pulse). Nothing derived is stored: the
 transition pairs, durations and total time are read off levels and the
-breakpoints. schedule_to_json is one .tolist() per column; schedule_from_json
-checks each column with one pass, then the format's array rules, then
-PulseSchedule._check. A per-pulse document (the earlier format, with
-"pulses") is refused. envelope_csv is the row-per-breakpoint view of the
-same envelopes on the schedule clock.
+breakpoints. schedule_to_json is one .tolist() per column. schedule_from_json
+checks only the format: strict keys, format 2, finite numbers a column at
+a time and whole (t, amplitude) pairs. It then hands the columns to
+PulseSchedule(...), which states every rule of a schedule. A per-pulse
+document (the earlier format, with "pulses") is refused. envelope_csv is
+the row-per-breakpoint view of the same envelopes on the schedule clock.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ _SCHEDULE_KEYS = {"format", "levels", "areas", "phases", "offsets", "breakpoints
 # the per-pulse columns, each with the field name an error gives after "pulse n: "
 _PULSE_FIELDS = {"levels": "level", "areas": "area", "phases": "phase", "dipoles": "dipole"}
 _NUMBER_TYPES = {int, float}       # not bool, whose type is its own
-_LEVEL_MAX = 2.0**53               # past it a float level k has no k + 1
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -184,11 +184,9 @@ def _check_format(obj) -> None:
 def schedule_from_json(obj: dict) -> PulseSchedule:
     """A PulseSchedule from its format-2 document, every value checked a column at a time.
 
-    The format rules: strict keys with format exactly 2; finite numbers
-    in every column; one levels, areas, phases (and dipoles) entry per
-    pulse and one offsets entry more; an even count of breakpoint numbers;
-    integer offsets that start at 0, never decrease and end at the
-    breakpoint row count; integer levels. Then PulseSchedule._check.
+    The format rules: strict keys with format exactly 2; finite numbers in
+    every column; an even count of breakpoint numbers. The schedule's own
+    rules are PulseSchedule's.
     """
     _check_format(obj)
     require_keys(obj, _SCHEDULE_KEYS, optional={"dipoles"}, what="schedule")
@@ -196,37 +194,9 @@ def schedule_from_json(obj: dict) -> PulseSchedule:
         _column(obj, key) for key in ("levels", "areas", "phases", "offsets", "breakpoints", "residual_phases")
     )
     dipoles = _column(obj, "dipoles") if "dipoles" in obj else np.ones(len(levels))
-
-    lengths = list(map(len, (levels, areas, phases, dipoles)))
-    if len(set(lengths)) > 1:
-        raise ValidationError(
-            f"schedule: levels, areas, phases and dipoles must have one entry per pulse, got lengths {lengths}"
-        )
-    if len(offsets) != lengths[0] + 1:
-        raise ValidationError(
-            f"schedule: offsets must have one entry more than the {lengths[0]} pulses, got {len(offsets)}"
-        )
     if len(points) % 2:
         raise ValidationError(f"schedule: breakpoints must hold (t, amplitude) pairs, got an odd count {len(points)}")
-    rows, steps = len(points) // 2, np.diff(offsets)
-    if not (offsets == np.floor(offsets)).all():
-        raise ValidationError(f"schedule: offsets must be integers, got {offsets[offsets != np.floor(offsets)][0]:g}")
-    if offsets[0] != 0.0:
-        raise ValidationError(f"schedule: offsets must start at 0, got {offsets[0]:g}")
-    if (steps < 0.0).any():
-        n = int(np.flatnonzero(steps < 0.0)[0])
-        raise ValidationError(f"schedule: offsets must not decrease, got {offsets[n]:g} then {offsets[n + 1]:g}")
-    if offsets[-1] != rows:
-        raise ValidationError(f"schedule: offsets must end at {rows}, the breakpoint row count, got {offsets[-1]:g}")
-    # an integer level below 2**53, where a float still holds k + 1
-    whole = (levels == np.floor(levels)) & (np.abs(levels) < _LEVEL_MAX)
-    if not whole.all():
-        n = int(whole.argmin())
-        k = float(levels[n])
-        raise ValidationError(f"pulse {n}: transition must be two integer levels, got {(k, k + 1)}")
-    sched = PulseSchedule._from_columns(levels, areas, phases, dipoles, points, offsets, residual)
-    sched._check()
-    return sched
+    return PulseSchedule(levels, areas, phases, dipoles, points.reshape(-1, 2), offsets, residual)
 
 
 def _cell(x) -> str:

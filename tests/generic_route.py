@@ -180,7 +180,7 @@ def schedule_hamiltonian(sched: PulseSchedule, dipoles=None):
     spans = []
     for sp, t0 in zip(sched.pulses, sched.start_times.tolist()):
         dur = sp.shape.duration
-        d_k = _dipole(dipoles, sp.transition[0], sp.dipole)
+        d_k = sp.dipole if dipoles is None else _dipole(dipoles, sp.transition[0])
         gen = rwa_interaction(sp, sp.shape, d_k, d)
         spans.append((t0, t0 + dur, gen))
 

@@ -1,7 +1,5 @@
 """Shared random-object generators for the test suite."""
 
-import dataclasses
-
 import numpy as np
 
 from qbond.pulse_synthesis import PulseConstraints, PulseSchedule, schedule
@@ -40,8 +38,7 @@ def early_pulse_schedule(shift=-1.0):
     """
     target = random_unitary(np.random.default_rng(3), 3)
     sched = schedule(target, PulseConstraints(amplitude_max=1.0))
-    sp = sched.pulses[1]
-    points = tuple((t + shift, a) for t, a in sp.shape.breakpoints)
-    shape = dataclasses.replace(sp.shape, breakpoints=points)
-    pulses = [sched.pulses[0], dataclasses.replace(sp, shape=shape), *sched.pulses[2:]]
-    return PulseSchedule(pulses=pulses, residual_phases=sched.residual_phases), target
+    points = sched.breakpoints.copy()
+    points[sched.offsets[1] : sched.offsets[2], 0] += shift
+    columns = (sched.levels, sched.areas, sched.phases, sched.dipoles, points, sched.offsets, sched.residual_phases)
+    return PulseSchedule(*columns), target

@@ -1,17 +1,19 @@
-"""Serial reference implementations of the batched routes.
+"""Serial reference implementations of the batched routes, and the record helpers tests build on.
 
 givens_decompose runs its eliminations as a wavefront of batched
 rotations, simulate_schedule samples its trajectory in one batched pass,
 trajectory_csv formats whole columns, and a PulseSchedule is held, shaped,
 encoded and decoded as columns. The loops below do the same work one
 rotation, one sample, one row and one pulse record at a time, so the tests
-can compare the two.
+can compare the two. from_records builds a PulseSchedule from edited
+TransitionPulse records, shape_pulse shapes one envelope through the
+library's batched shaper, and pulse_unitary embeds one pulse block.
 """
 
 import cmath
 import csv
 import io
-from itertools import accumulate
+from itertools import accumulate, chain
 import math
 
 import numpy as np
@@ -22,11 +24,49 @@ from qbond.pulse_synthesis import (
     PulseSchedule,
     PulseShape,
     TransitionPulse,
+    _blocks,
     _dipole,
     _lookup,
+    _shape,
     givens_decompose,
 )
 from qbond.serialization import _check_format, _number, csv_table, require_keys
+
+
+def from_records(pulses, residual_phases):
+    """PulseSchedule(...) of the columns of TransitionPulse records, checked as any columns are."""
+    pulses = list(pulses)
+    shapes = [sp.shape.breakpoints for sp in pulses]
+    rows = list(chain.from_iterable(shapes))
+    return PulseSchedule(
+        [sp.transition[0] for sp in pulses],
+        [sp.area for sp in pulses],
+        [sp.phase for sp in pulses],
+        [sp.dipole for sp in pulses],
+        np.array(rows, dtype=float).reshape(len(rows), 2),
+        list(accumulate(map(len, shapes), initial=0)),
+        residual_phases,
+    )
+
+
+def shape_pulse(area_required, constraints):
+    """One minimum-duration envelope as a PulseShape, through the shaper schedule runs on every pulse at once.
+
+    A triangle while the implied peak stays under the amplitude cap, else a
+    trapezoid riding at the cap; with symmetric slews R the durations are
+    2 sqrt(area / R) and M / R + area / M at cap M. Same refusals as schedule.
+    """
+    limits = np.array(constraints._row(), dtype=float)[:, None]
+    points, _ = _shape(np.array([float(area_required)]), np.ones(1), limits)
+    return PulseShape(tuple(map(tuple, points.tolist())))
+
+
+def pulse_unitary(pulse, dimension):
+    """The closed-form block of one TransitionPulse embedded in the d x d identity."""
+    u = np.eye(dimension, dtype=complex)
+    k = pulse.transition[0]
+    u[k - 1 : k + 1] = _blocks([pulse.area], [pulse.phase])[0] @ u[k - 1 : k + 1]
+    return u
 
 
 def wrap_angle(angle):
@@ -188,7 +228,7 @@ def schedule_serial(target, constraints, dipoles=None):
             raise ValidationError(f"no constraints provided for transition ({k}, {k + 1})")
         shape = shape_pulse_serial(sp.area / d_k, limits)
         shaped.append(TransitionPulse(sp.transition, sp.area, sp.phase, shape=shape, dipole=d_k))
-    return PulseSchedule(pulses=shaped, residual_phases=plan.residual_phases)
+    return from_records(shaped, plan.residual_phases)
 
 
 def schedule_to_json_records(sched):
@@ -207,7 +247,10 @@ def schedule_to_json_records(sched):
 
 
 def schedule_from_json_records(obj):
-    """schedule.json (format 2) read one pulse at a time, each value through _number, into TransitionPulse records."""
+    """schedule.json (format 2) read one pulse at a time, each value through _number, into TransitionPulse records.
+
+    It states the format's structural rules itself, then from_records meets the schedule's own rules.
+    """
     _check_format(obj)
     keys = {"format", "levels", "areas", "phases", "offsets", "breakpoints", "residual_phases"}
     require_keys(obj, keys, optional={"dipoles"}, what="schedule")
@@ -251,7 +294,7 @@ def schedule_from_json_records(obj):
         shape = PulseShape(tuple(pairs[int(lo) : int(hi)]))
         transition = (int(k), int(k) + 1) if k.is_integer() else (k, k + 1)
         pulses.append(TransitionPulse(transition, area, phase, shape=shape, dipole=dipole))
-    return PulseSchedule(pulses=pulses, residual_phases=np.array(residual))
+    return from_records(pulses, residual)
 
 
 def envelope_csv_records(sched):

@@ -20,12 +20,9 @@ from qbond.propagation import (
 )
 from qbond.pulse_synthesis import (
     PulseConstraints,
-    PulseSchedule,
     PulseShape,
     TransitionPulse,
-    pulse_unitary,
     schedule,
-    shape_pulse,
 )
 from qbond.serialization import schedule_from_json, schedule_to_json
 
@@ -43,7 +40,7 @@ from helpers import (
     random_probabilities,
     random_unitary,
 )
-from serial_oracles import serial_trajectory
+from serial_oracles import from_records, pulse_unitary, serial_trajectory, shape_pulse
 
 SYM = PulseConstraints(amplitude_max=2.0, slew_max=4.0, slew_min=-4.0)
 
@@ -249,6 +246,10 @@ def test_simulate_schedule_rejects_bad_step_count():
     for steps in (0, -3, 2.5, "4", True, None):
         with pytest.raises(ValidationError, match="steps_per_segment"):
             simulate_schedule(sched, target=u_target, steps_per_segment=steps)
+    rho0 = random_density(rng, 3)
+    for samples in (-1, 2.5, 0, True):
+        with pytest.raises(ValidationError, match=r"samples must be an integer >= 1"):
+            simulate_schedule(sched, rho0=rho0, samples=samples)
 
 
 def test_simulate_schedule_rejects_malformed_input():
@@ -260,11 +261,11 @@ def test_simulate_schedule_rejects_malformed_input():
     first = sched.pulses[0]
     outside = dataclasses.replace(first, transition=(3, 4), phase=0.0)
     with pytest.raises(ValidationError, match="exceeds dimension"):
-        simulate_schedule(PulseSchedule(pulses=[outside], residual_phases=sched.residual_phases))
+        simulate_schedule(from_records([outside], sched.residual_phases))
     backwards = PulseShape(breakpoints=((0.0, 0.0), (2.0, 1.0), (1.0, 0.0)))
     reversed_pulse = dataclasses.replace(first, shape=backwards)
     with pytest.raises(ValidationError, match="breakpoint times"):
-        simulate_schedule(PulseSchedule(pulses=[reversed_pulse], residual_phases=sched.residual_phases))
+        simulate_schedule(from_records([reversed_pulse], sched.residual_phases))
 
 
 def _schedule_knots(sched):
@@ -331,10 +332,7 @@ def test_batched_trajectory_takes_the_earlier_segment_at_a_jump():
     stepped = PulseShape(
         breakpoints=((0.0, 0.0), (0.5, 0.8), (0.5, 0.3), (1.0, 0.6), (1.5, 0.4), (1.5, 0.0)),
     )
-    jumpy = PulseSchedule(
-        pulses=[dataclasses.replace(sp, shape=stepped) for sp in sched.pulses],
-        residual_phases=sched.residual_phases,
-    )
+    jumpy = from_records([dataclasses.replace(sp, shape=stepped) for sp in sched.pulses], sched.residual_phases)
     rho0 = random_density(rng, 3)
     got = simulate_schedule(jumpy, rho0=rho0, steps_per_segment=1, samples=10**6)
     u, states, energies = serial_trajectory(jumpy, rho0, got.times)
@@ -352,7 +350,7 @@ def test_simulate_schedule_plays_the_envelope_not_the_stored_area():
 
     def tampered(edit):
         pulses = [dataclasses.replace(sp, shape=edit(sp.shape)) for sp in sched.pulses]
-        return PulseSchedule(pulses=pulses, residual_phases=sched.residual_phases)
+        return from_records(pulses, sched.residual_phases)
 
     def halve(sh):
         points = tuple((t, sh.baseline + 0.5 * (a - sh.baseline)) for t, a in sh.breakpoints)
@@ -426,7 +424,7 @@ def test_trajectory_past_memory_budget_raises_before_allocating():
     # the smallest d whose three (201, d, d) complex stacks exceed the budget
     d = math.isqrt(TRAJECTORY_BUDGET_BYTES // (3 * TRAJECTORY_SAMPLES * 16)) + 1
     swap = schedule(np.array([[0.0, 1.0], [1.0, 0.0]]), SYM)
-    one_pulse = PulseSchedule(pulses=swap.pulses[:1], residual_phases=np.zeros(d))
+    one_pulse = from_records(swap.pulses[:1], np.zeros(d))
     rho0 = np.zeros((d, d))
     rho0[0, 0] = 1.0
     tracemalloc.start()

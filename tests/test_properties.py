@@ -11,12 +11,14 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from qbond.binding import binding_energy
-from qbond.pulse_synthesis import PulseConstraints, schedule, shape_pulse
+from qbond.pulse_synthesis import PulseConstraints, PulseSchedule, schedule
 from qbond.serialization import schedule_from_json, schedule_to_json
 
 from helpers import random_density, random_hermitian, random_unitary
+from serial_oracles import shape_pulse
 
 FIXED = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+COLUMNS = ("levels", "areas", "phases", "dipoles", "breakpoints", "offsets", "residual_phases")
 
 
 @st.composite
@@ -53,7 +55,13 @@ def schedule_docs(draw):
 @FIXED
 @given(schedule_docs())
 def test_schedule_document_round_trip_is_exact(doc):
-    assert schedule_to_json(schedule_from_json(doc)) == doc
+    sched = schedule_from_json(doc)
+    assert schedule_to_json(sched) == doc
+    # the column constructor gives back the same columns, dtypes included
+    again = PulseSchedule(*(getattr(sched, name) for name in COLUMNS))
+    for name in COLUMNS:
+        got, want = getattr(again, name), getattr(sched, name)
+        assert np.array_equal(got, want) and got.dtype == want.dtype and got.shape == want.shape
 
 
 @FIXED

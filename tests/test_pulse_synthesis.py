@@ -14,15 +14,13 @@ from qbond.pulse_synthesis import (
     TransitionPulse,
     area_phase_from_column,
     givens_decompose,
-    pulse_unitary,
     schedule,
-    shape_pulse,
 )
 from qbond.serialization import schedule_from_json, schedule_to_json
 
 from generic_route import adjoint_pulse, trapezoid_duration, triangle_duration
 from helpers import random_unitary
-from serial_oracles import reck_decompose, shape_pulse_serial
+from serial_oracles import from_records, pulse_unitary, reck_decompose, shape_pulse, shape_pulse_serial
 
 SYM = PulseConstraints(amplitude_max=2.0, amplitude_min=0.0, slew_max=4.0, slew_min=-4.0)
 
@@ -74,25 +72,25 @@ def test_adjoint_pulse_inverts():
 
 
 def test_transition_pulse_validation():
+    # a record is a read-out view and checks nothing; the schedule built from its columns does
     with pytest.raises(ValidationError):
-        TransitionPulse(transition=(1, 3), area=0.1, phase=0.0)
-    with pytest.raises(ValidationError):
-        TransitionPulse(transition=(1, 2), area=-0.1, phase=0.0)
-    with pytest.raises(ValidationError):
-        pulse_unitary(_pulse(4, 0.1, 0.0), 4)
+        from_records([TransitionPulse(transition=(1, 2), area=-0.1, phase=0.0)], np.zeros(2))
+    with pytest.raises(ValidationError, match=r"pulse 0: transition must be \(k, k\+1\) with k >= 1, got \(0, 1\)"):
+        from_records([TransitionPulse(transition=(0, 1), area=0.1, phase=0.0)], np.zeros(2))
     for dipole in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValidationError, match=r"dipole for transition \(1, 2\) must be finite and positive"):
-            TransitionPulse(transition=(1, 2), area=0.1, phase=0.0, dipole=dipole)
+            from_records([TransitionPulse(transition=(1, 2), area=0.1, phase=0.0, dipole=dipole)], np.zeros(2))
 
 
 def test_fractional_transition_is_refused_on_every_route():
     # int() of the level would play (1, 2) for (1.5, 2.5)
     words = r"transition must be two integer levels, got \(1.5, 2.5\)"
     with pytest.raises(ValidationError, match=words):
-        TransitionPulse(transition=(1.5, 2.5), area=0.3, phase=0.0)
+        from_records([TransitionPulse(transition=(1.5, 2.5), area=0.3, phase=0.0)], [0.0, 0.0, 0.0])
     with pytest.raises(ValidationError, match=words):
-        PulseSchedule([TransitionPulse((1.5, 2.5), 0.3, 0.0)], [0.0, 0.0, 0.0])
-    assert TransitionPulse(transition=(1.0, 2.0), area=0.3, phase=0.0).transition == (1.0, 2.0)
+        PulseSchedule([1.5], [0.3], [0.0], [1.0], np.empty((0, 2)), [0, 0], [0.0, 0.0, 0.0])
+    whole = from_records([TransitionPulse(transition=(1.0, 2.0), area=0.3, phase=0.0)], [0.0, 0.0, 0.0])
+    assert whole.levels.tolist() == [1] and whole.pulses[0].transition == (1, 2)
 
 
 def test_area_phase_trivial_columns():
@@ -437,7 +435,7 @@ def test_reconstruct_layers_any_pulse_order():
             for k in rng.integers(1, d, size=3 * d)
         ]
         for pulses in (shuffled, random_train):
-            sched = PulseSchedule(pulses=pulses, residual_phases=rng.uniform(-math.pi, math.pi, d))
+            sched = from_records(pulses, rng.uniform(-math.pi, math.pi, d))
             dense = np.eye(d, dtype=complex)
             for sp in sched.pulses:
                 dense = pulse_unitary(sp, d) @ dense
@@ -448,8 +446,9 @@ def test_reconstruct_layers_any_pulse_order():
 def test_reconstruct_rejects_transition_beyond_dimension():
     inside = _pulse(1, 0.4, 0.2)
     outside = _pulse(3, 0.4, 0.2)
+    # refused when built, so no schedule that reconstruct meets drives a level past d
     with pytest.raises(ValidationError, match="exceeds dimension 3"):
-        PulseSchedule(pulses=[inside, outside, inside], residual_phases=np.zeros(3)).reconstruct()
+        from_records([inside, outside, inside], np.zeros(3)).reconstruct()
 
 
 def test_wavefront_does_not_depend_on_memory_layout():
@@ -524,16 +523,91 @@ def test_schedule_columns_are_read_only_so_the_clock_stays_true():
         sched.breakpoints[-1, 0] = 99.0
     assert sched.total_time == total == sched.durations[-1]
     assert schedule_to_json(schedule_from_json(schedule_to_json(sched))) == schedule_to_json(sched)
-    built = PulseSchedule(pulses=sched.pulses, residual_phases=sched.residual_phases)
+    columns = [getattr(sched, name).copy() for name in COLUMNS]
+    built = PulseSchedule(*columns)
     for s in (sched, schedule_from_json(schedule_to_json(sched)), built, givens_decompose(SWAP)):
         for name in COLUMNS:
             with pytest.raises(ValueError):
                 getattr(s, name)[-1] = 0
-    # the caller's own array is copied, not frozen
-    phases = np.zeros(2)
-    rebuilt = PulseSchedule(pulses=sched.pulses, residual_phases=phases)
-    phases[0] = 1.0
-    assert rebuilt.residual_phases[0] == 0.0
+    # the caller's own arrays are copied, not frozen
+    assert all(column.flags.writeable for column in columns)
+    columns[2][0] += 1.0
+    assert built.phases[0] == sched.phases[0] != columns[2][0]
+
+
+def _set_column(name, index, value):
+    def edit(columns):
+        columns[name][index] = value
+    return edit
+
+
+def _decrease_offsets(columns):
+    columns["offsets"][1] = columns["offsets"][2] + 1
+
+
+def _drop_a_phase(columns):
+    columns["phases"] = columns["phases"][:-1]
+
+
+def _three_wide_table(columns):
+    columns["breakpoints"] = np.zeros((len(columns["breakpoints"]), 3))
+
+
+def _no_residual_phases(columns):
+    columns["residual_phases"] = np.zeros(0)
+
+
+# each structural rule of the columns, and the empty residual_phases, with the message schedule_from_json gives
+STRUCTURE = [
+    pytest.param(
+        _set_column("offsets", 0, 1), "schedule: offsets must start at 0, got 1", id="offsets-not-starting-at-0"
+    ),
+    pytest.param(_decrease_offsets, "schedule: offsets must not decrease, got 7 then 6", id="decreasing-offsets"),
+    pytest.param(
+        _set_column("offsets", -1, 10),
+        "schedule: offsets must end at 9, the breakpoint row count, got 10",
+        id="offsets-end-off-the-row-count",
+    ),
+    pytest.param(
+        _drop_a_phase,
+        "schedule: levels, areas, phases and dipoles must have one entry per pulse, got lengths [3, 3, 2, 3]",
+        id="column-length-mismatch",
+    ),
+    pytest.param(
+        _three_wide_table,
+        "schedule: breakpoints must be an (N, 2) table of (t, amplitude) rows, got shape (9, 3)",
+        id="breakpoints-3-wide",
+    ),
+    pytest.param(
+        _set_column("levels", 1, 1.5), "pulse 1: transition must be two integer levels, got (1.5, 2.5)", id="level-1.5"
+    ),
+    pytest.param(
+        _set_column("levels", 1, 2.0**53),
+        "pulse 1: transition must be two integer levels, got (9007199254740992.0, 9007199254740992.0)",
+        id="level-2**53",
+    ),
+    pytest.param(
+        _no_residual_phases,
+        "schedule: residual_phases is empty; it holds one phase per level",
+        id="empty-residual-phases",
+    ),
+]
+
+
+@pytest.mark.parametrize("edit, message", STRUCTURE)
+def test_column_constructor_refuses_each_structural_fault(edit, message):
+    sched = schedule(random_unitary(np.random.default_rng(2401), 3), PulseConstraints(1.0))
+    assert sched.levels.tolist() == [1, 2, 1] and sched.offsets.tolist() == [0, 3, 6, 9]
+    columns = {name: getattr(sched, name).astype(float) for name in COLUMNS}
+    edit(columns)
+    with pytest.raises(ValidationError) as built:
+        PulseSchedule(**columns)
+    assert str(built.value) == message
+    if columns["breakpoints"].shape[1] == 2:  # the reader holds the table flat, so it meets every other fault
+        doc = {"format": 2, **{name: column.ravel().tolist() for name, column in columns.items()}}
+        with pytest.raises(ValidationError) as read:
+            schedule_from_json(doc)
+        assert str(read.value) == message
 
 
 def _nan_phase(pulse, residual):
@@ -546,6 +620,12 @@ def _nan_breakpoint_time(pulse, residual):
     return dataclasses.replace(pulse, shape=shape), residual
 
 
+def _infinite_breakpoint_amplitude(pulse, residual):
+    first, (t1, _), *rest = pulse.shape.breakpoints
+    shape = PulseShape((first, (t1, math.inf), *rest))
+    return dataclasses.replace(pulse, shape=shape), residual
+
+
 def _nan_residual_phase(pulse, residual):
     return pulse, [math.nan, 0.0]
 
@@ -555,6 +635,7 @@ def _nan_residual_phase(pulse, residual):
     [
         pytest.param(_nan_phase, ["pulse 0", "phase"], id="nan-phase"),
         pytest.param(_nan_breakpoint_time, ["pulse 0", "breakpoints"], id="nan-breakpoint-time"),
+        pytest.param(_infinite_breakpoint_amplitude, ["pulse 0", "breakpoints"], id="inf-breakpoint-amplitude"),
         pytest.param(_nan_residual_phase, ["residual_phases"], id="nan-residual-phase"),
     ],
 )
@@ -562,5 +643,5 @@ def test_schedule_with_a_non_finite_value_is_refused_when_built(edit, words):
     swap = schedule(SWAP, PulseConstraints(1.0))
     pulse, residual = edit(swap.pulses[0], swap.residual_phases)
     with pytest.raises(ValidationError) as refused:
-        PulseSchedule(pulses=[pulse], residual_phases=residual)
+        from_records([pulse], residual)
     assert all(w in str(refused.value) for w in words), refused.value
